@@ -26,7 +26,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
+#include <algorithm>
+#include <ctime>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -34,6 +35,7 @@
 #include <map>
 #include <new>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -44,7 +46,7 @@
 // nectar-lint-file: capture-ok every scenario drives eq.run() to
 // completion before any captured frame local leaves scope
 // nectar-lint-file: wallclock-ok this harness measures real
-// events-per-second throughput; steady_clock never feeds sim state
+// events-per-second throughput; the CPU clock never feeds sim state
 
 // ----- global allocation counter ------------------------------------
 //
@@ -224,52 +226,129 @@ churnScenario(Queue &eq, std::uint64_t events)
 }
 
 // ----- measurement + JSON row collection ----------------------------
+//
+// The wheel/seed comparison gates tier-1, so its verdict must not
+// depend on which engine happened to run while the host was busy.
+// Each scenario runs as `pairs` back-to-back (wheel, seed) pairs whose
+// order alternates, so slow drift in host speed hits both engines
+// equally.  Runs are timed on the thread's CPU clock, so time the host
+// spends on other processes is charged to neither engine.  The gate
+// reads the median of the per-pair ratios.
 
+/** (wheel, seed) repetitions per scenario. */
+constexpr int pairs = 21;
+
+/** Median and quartiles (linear interpolation between ranks). */
+struct Quartiles
+{
+    double q1 = 0, median = 0, q3 = 0;
+};
+
+Quartiles
+quartiles(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    auto at = [&v](double p) {
+        const double pos = p * static_cast<double>(v.size() - 1);
+        const auto lo = static_cast<std::size_t>(pos);
+        const std::size_t hi = std::min(lo + 1, v.size() - 1);
+        return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+    };
+    return Quartiles{at(0.25), at(0.5), at(0.75)};
+}
+
+/** One engine's runs of one scenario, summarized by their median. */
 struct Row
 {
     std::string scenario;
     std::string engine;
     std::uint64_t events = 0;
-    double seconds = 0;
+    double seconds = 0; ///< median CPU time of one run
     double eventsPerSec = 0;
     double nsPerEvent = 0;
 };
 
-std::map<std::string, Row> &
-rows()
+struct Comparison
 {
-    static std::map<std::string, Row> r;
-    return r;
+    Row wheel, seed;
+    Quartiles speedup; ///< over the per-pair wheel/seed ratios
+};
+
+std::map<std::string, Comparison> &
+comparisons()
+{
+    static std::map<std::string, Comparison> c;
+    return c;
 }
 
-template <typename Queue, typename Scenario>
-Row
-measure(const std::string &scenario, const std::string &engine,
-        Scenario &&body, std::uint64_t events)
+/** CPU time consumed by the calling thread, in seconds. */
+double
+threadCpuSeconds()
 {
-    // Best of three: the comparison gates CI, so shave scheduler
-    // noise off both engines the same way.
-    Row row;
-    for (int rep = 0; rep < 3; ++rep) {
-        Queue eq;
-        const auto t0 = std::chrono::steady_clock::now();
-        body(eq, events);
-        const auto t1 = std::chrono::steady_clock::now();
-        const double secs =
-            std::chrono::duration<double>(t1 - t0).count();
-        if (rep == 0 || secs < row.seconds) {
-            row.scenario = scenario;
-            row.engine = engine;
-            row.events = eq.executedCount();
-            row.seconds = secs;
-            row.eventsPerSec =
-                static_cast<double>(row.events) / secs;
-            row.nsPerEvent =
-                secs * 1e9 / static_cast<double>(row.events);
-        }
-    }
-    rows()[scenario + "/" + engine] = row;
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/** Run @p body once on a fresh @p Queue; returns events per
+ *  CPU-second. */
+template <typename Queue, typename Scenario>
+double
+runOnce(Scenario body, std::uint64_t events, std::uint64_t &executed,
+        std::vector<double> &seconds)
+{
+    Queue eq;
+    const double t0 = threadCpuSeconds();
+    body(eq, events);
+    const double secs = threadCpuSeconds() - t0;
+    executed = eq.executedCount();
+    seconds.push_back(secs);
+    return static_cast<double>(executed) / secs;
+}
+
+Row
+summarizeRow(const std::string &scenario, const std::string &engine,
+             std::uint64_t events, const std::vector<double> &seconds)
+{
+    Row row{scenario, engine, events, quartiles(seconds).median};
+    row.eventsPerSec = static_cast<double>(events) / row.seconds;
+    row.nsPerEvent = row.seconds * 1e9 / static_cast<double>(events);
     return row;
+}
+
+template <typename WheelFn, typename SeedFn>
+void
+compare(const std::string &scenario, WheelFn wheelBody, SeedFn seedBody,
+        std::uint64_t events)
+{
+    std::vector<double> wheelSecs, seedSecs, ratios;
+    std::uint64_t wheelEvents = 0, seedEvents = 0;
+    // One untimed pair first: page faults and cold caches would
+    // otherwise land on whichever engine runs first.
+    runOnce<sim::EventQueue>(wheelBody, events, wheelEvents, wheelSecs);
+    runOnce<LegacyEventQueue>(seedBody, events, seedEvents, seedSecs);
+    wheelSecs.clear();
+    seedSecs.clear();
+    for (int p = 0; p < pairs; ++p) {
+        double wheel = 0, seed = 0;
+        if (p % 2 == 0) {
+            wheel = runOnce<sim::EventQueue>(wheelBody, events,
+                                             wheelEvents, wheelSecs);
+            seed = runOnce<LegacyEventQueue>(seedBody, events,
+                                             seedEvents, seedSecs);
+        } else {
+            seed = runOnce<LegacyEventQueue>(seedBody, events,
+                                             seedEvents, seedSecs);
+            wheel = runOnce<sim::EventQueue>(wheelBody, events,
+                                             wheelEvents, wheelSecs);
+        }
+        ratios.push_back(wheel / seed);
+    }
+    comparisons()[scenario] = Comparison{
+        summarizeRow(scenario, "wheel", wheelEvents, wheelSecs),
+        summarizeRow(scenario, "seed", seedEvents, seedSecs),
+        quartiles(ratios)};
 }
 
 /** Steady-state allocation probe: warm the pool, then demand zero
@@ -387,12 +466,11 @@ BENCHMARK(BM_TimerChurn_Seed)->Arg(100000);
 
 // ----- JSON ---------------------------------------------------------
 
+/** Median wheel/seed speedup of @p scenario. */
 double
 speedup(const std::string &scenario)
 {
-    const Row &wheel = rows().at(scenario + "/wheel");
-    const Row &seed = rows().at(scenario + "/seed");
-    return wheel.eventsPerSec / seed.eventsPerSec;
+    return comparisons().at(scenario).speedup.median;
 }
 
 void
@@ -401,23 +479,37 @@ writeJson(const std::string &file, std::uint64_t steadyAllocs,
 {
     std::ofstream out(file);
     out << "{\n  \"bench\": \"engine\",\n";
+    out << "  \"host_cores\": " << std::thread::hardware_concurrency()
+        << ",\n";
+    out << "  \"repetitions\": " << pairs << ",\n";
+    out << "  \"clock\": \"thread_cpu\",\n";
     out << "  \"steady_state_heap_allocs_per_1M_events\": "
         << steadyAllocs << ",\n";
     out << "  \"eventfn_heap_allocs\": " << fnHeapAllocs << ",\n";
-    for (const char *s : {"pipeline", "mesh", "churn"})
-        out << "  \"speedup_" << s << "\": " << speedup(s) << ",\n";
-    out << "  \"rows\": [\n";
+    out << "  \"speedup\": {\n";
     bool first = true;
-    for (const auto &[key, row] : rows()) {
+    for (const auto &[scenario, c] : comparisons()) {
         if (!first)
             out << ",\n";
         first = false;
-        out << "    {\"scenario\": \"" << row.scenario
-            << "\", \"engine\": \"" << row.engine
-            << "\", \"events\": " << row.events
-            << ", \"seconds\": " << row.seconds
-            << ", \"events_per_sec\": " << row.eventsPerSec
-            << ", \"ns_per_event\": " << row.nsPerEvent << "}";
+        out << "    \"" << scenario << "\": {\"median\": "
+            << c.speedup.median << ", \"q1\": " << c.speedup.q1
+            << ", \"q3\": " << c.speedup.q3 << "}";
+    }
+    out << "\n  },\n  \"rows\": [\n";
+    first = true;
+    for (const auto &[scenario, c] : comparisons()) {
+        for (const Row *row : {&c.wheel, &c.seed}) {
+            if (!first)
+                out << ",\n";
+            first = false;
+            out << "    {\"scenario\": \"" << row->scenario
+                << "\", \"engine\": \"" << row->engine
+                << "\", \"events\": " << row->events
+                << ", \"seconds\": " << row->seconds
+                << ", \"events_per_sec\": " << row->eventsPerSec
+                << ", \"ns_per_event\": " << row->nsPerEvent << "}";
+        }
     }
     out << "\n  ]\n}\n";
 }
@@ -437,19 +529,12 @@ main(int argc, char **argv)
     // --benchmark_filter) so BENCH_engine.json is always complete.
     constexpr std::uint64_t big = 1'000'000;
     constexpr std::uint64_t churnN = 500'000;
-    for (auto [name, fn] :
-         {std::pair{"pipeline", &pipelineScenario<sim::EventQueue>},
-          std::pair{"mesh", &meshScenario<sim::EventQueue>}})
-        measure<sim::EventQueue>(name, "wheel", fn, big);
-    for (auto [name, fn] :
-         {std::pair{"pipeline", &pipelineScenario<LegacyEventQueue>},
-          std::pair{"mesh", &meshScenario<LegacyEventQueue>}})
-        measure<LegacyEventQueue>(name, "seed", fn, big);
-    measure<sim::EventQueue>("churn", "wheel",
-                             &churnScenario<sim::EventQueue>, churnN);
-    measure<LegacyEventQueue>("churn", "seed",
-                              &churnScenario<LegacyEventQueue>,
-                              churnN);
+    compare("pipeline", &pipelineScenario<sim::EventQueue>,
+            &pipelineScenario<LegacyEventQueue>, big);
+    compare("mesh", &meshScenario<sim::EventQueue>,
+            &meshScenario<LegacyEventQueue>, big);
+    compare("churn", &churnScenario<sim::EventQueue>,
+            &churnScenario<LegacyEventQueue>, churnN);
 
     const std::uint64_t fnHeapBefore = sim::EventFn::heapAllocCount();
     const std::uint64_t steadyAllocs = steadyStateAllocs(2'000'000);
@@ -459,12 +544,13 @@ main(int argc, char **argv)
 
     const double pipe = speedup("pipeline");
     const double churn = speedup("churn");
-    std::printf("engine speedup: pipeline %.2fx, mesh %.2fx, "
-                "churn %.2fx; steady-state allocs/1M events: %llu\n",
-                pipe, speedup("mesh"), churn,
+    std::printf("engine speedup (median of %d pairs): pipeline %.2fx, "
+                "mesh %.2fx, churn %.2fx; steady-state allocs/1M "
+                "events: %llu\n",
+                pairs, pipe, speedup("mesh"), churn,
                 static_cast<unsigned long long>(steadyAllocs));
-    // Acceptance (ISSUE 5): pipeline and timer-churn must be >= 2x
-    // the seed engine, and the steady-state path allocation-free.
+    // Acceptance: pipeline and timer-churn must be >= 2x the seed
+    // engine, and the steady-state path allocation-free.
     if (pipe < 2.0 || churn < 2.0 || steadyAllocs != 0) {
         std::fprintf(stderr,
                      "bench_engine: acceptance thresholds not met\n");

@@ -1,8 +1,10 @@
 #include "fault/planio.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -69,6 +71,25 @@ badLine(int lineno, const std::string &line, const std::string &why)
 {
     sim::fatal("parsePlan: line " + std::to_string(lineno) + ": " +
                why + ": '" + line + "'");
+}
+
+/**
+ * Parse a whole decimal field value in [@p min, @p max]; anything
+ * else (empty, non-numeric, trailing garbage, out of range) is fatal
+ * with the line number.
+ */
+long long
+parseIntField(int lineno, const std::string &line, const std::string &key,
+              const std::string &val, long long min, long long max)
+{
+    char *endp = nullptr;
+    errno = 0;
+    long long v = std::strtoll(val.c_str(), &endp, 10);
+    if (endp == val.c_str() || *endp)
+        badLine(lineno, line, "bad " + key);
+    if (errno == ERANGE || v < min || v > max)
+        badLine(lineno, line, key + " out of range");
+    return v;
 }
 
 } // namespace
@@ -142,28 +163,33 @@ parsePlan(const std::string &text)
                     badLine(lineno, line, "field without '='");
                 std::string key = field.substr(0, eq);
                 std::string val = field.substr(eq + 1);
-                char *endp = nullptr;
+                constexpr long long intMin =
+                    std::numeric_limits<int>::min();
+                constexpr long long intMax =
+                    std::numeric_limits<int>::max();
                 if (key == "at") {
-                    e.at = std::strtoll(val.c_str(), &endp, 10);
-                    if (endp == val.c_str() || *endp)
-                        badLine(lineno, line, "bad at");
+                    e.at = parseIntField(lineno, line, key, val, 0,
+                                         sim::maxTick);
                     sawAt = true;
                 } else if (key == "action") {
                     if (!parseAction(val, e.action))
                         badLine(lineno, line, "unknown action");
                     sawAction = true;
                 } else if (key == "hub") {
-                    e.hub = std::atoi(val.c_str());
+                    e.hub = static_cast<int>(parseIntField(
+                        lineno, line, key, val, intMin, intMax));
                 } else if (key == "port") {
-                    e.port =
-                        static_cast<hub::PortId>(std::atoi(val.c_str()));
+                    e.port = static_cast<hub::PortId>(parseIntField(
+                        lineno, line, key, val, intMin, intMax));
                 } else if (key == "site") {
-                    e.site = std::atoi(val.c_str());
+                    e.site = static_cast<int>(parseIntField(
+                        lineno, line, key, val, intMin, intMax));
                 } else if (key == "dir") {
                     if (!parseDir(val, e.dir))
                         badLine(lineno, line, "unknown dir");
                 } else if (key == "burst") {
                     double p[4];
+                    char *endp = nullptr;
                     const char *s = val.c_str();
                     for (int i = 0; i < 4; ++i) {
                         p[i] = std::strtod(s, &endp);

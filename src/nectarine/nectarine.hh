@@ -18,7 +18,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -205,7 +204,7 @@ class Nectarine
     void
     noteExternalTaskDone()
     {
-        completed.fetch_add(1, std::memory_order_relaxed);
+        ++completed;
     }
 
     /** Find a task by name. */
@@ -218,7 +217,7 @@ class Nectarine
     int
     completedTasks() const
     {
-        return completed.load(std::memory_order_relaxed);
+        return completed;
     }
 
     NectarSystem &system() { return sys; }
@@ -250,10 +249,7 @@ class Nectarine
     std::map<std::string, TaskId> names;
     std::vector<TaskInfo> tasks;
     std::map<transport::CabAddress, std::uint16_t> nextIndex;
-    /** Relaxed atomic: task bodies on different cluster workers all
-     *  bump this; only the aggregate count is read (after a drain, or
-     *  by single-threaded drivers polling progress). */
-    std::atomic<int> completed{0};
+    int completed = 0;
 };
 
 } // namespace nectar::nectarine

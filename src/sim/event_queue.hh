@@ -38,9 +38,7 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -56,13 +54,10 @@ namespace detail {
  * live EventQueue is destroyed, so server loops parked on a Channel
  * (and the messages they own) are reclaimed instead of leaking.
  */
-// nectar-lint: global-ok process-wide coroutine-frame reaper hook;
-// atomic because parallel-engine workers create/destroy coroutine
-// frames concurrently (the queues themselves are made and destroyed
-// on the control thread, but the counter races with the hook install)
-inline std::atomic<void (*)()> detachedReaper{nullptr};
+// nectar-lint: global-ok process-wide coroutine-frame reaper hook
+inline void (*detachedReaper)() = nullptr;
 // nectar-lint: global-ok paired with detachedReaper above
-inline std::atomic<int> liveEventQueues{0};
+inline int liveEventQueues = 0;
 } // namespace detail
 
 /**
@@ -208,18 +203,6 @@ class EventQueue
 
     /** Total events executed over the queue's lifetime. */
     std::uint64_t executedCount() const { return _executed; }
-
-    /** Sentinel returned by peekNextTick() when the queue is empty. */
-    static constexpr Tick noEventTick =
-        std::numeric_limits<Tick>::max();
-
-    /**
-     * Tick of the earliest live event without firing it (noEventTick
-     * when drained).  Used by the parallel engine's epoch decide
-     * phase.  Trace-neutral: repeated peeks, or a peek followed by
-     * run()/runUntil(), fire the same events in the same order.
-     */
-    Tick peekNextTick();
 
     /**
      * Rolling FNV-1a hash of the (tick, priority, sequence) of every

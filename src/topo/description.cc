@@ -156,6 +156,10 @@ describeGrid(const std::string &name, int rows, int cols,
 {
     if (rows < 1 || cols < 1)
         sim::fatal(name + " generator: dimensions must be positive");
+    // Reject oversize requests before building them: validate()
+    // would, but only after materializing every HUB and CAB.
+    if (std::int64_t{rows} * cols > 256)
+        sim::fatal(name + " generator: more than 256 HUBs");
 
     TopologyDescription d;
     d.name = name + std::to_string(rows) + "x" + std::to_string(cols);
@@ -166,6 +170,8 @@ describeGrid(const std::string &name, int rows, int cols,
     if (cabsPerHub > ports - 4 && rows * cols > 1)
         sim::fatal(name + " generator: mesh trunks need 4 ports "
                           "per HUB");
+    if (cabsPerHub > ports)
+        sim::fatal(name + " generator: more CABs than ports");
 
     for (int r = 0; r < rows; ++r)
         for (int c = 0; c < cols; ++c)
@@ -247,7 +253,7 @@ describeFatTree(int spines, int leaves, int cabsPerLeaf,
     const int ports = d.effectivePorts();
     if (leaves > ports)
         sim::fatal("describeFatTree: more leaves than spine ports");
-    if (cabsPerLeaf + spines > ports)
+    if (std::int64_t{cabsPerLeaf} + spines > ports)
         sim::fatal("describeFatTree: leaf needs cabsPerLeaf + spines "
                    "ports");
 
@@ -276,6 +282,8 @@ describeRandomRegular(std::uint64_t seed, int hubs, int degree,
     if (hubs < 2 || degree < 2)
         sim::fatal("describeRandomRegular: need hubs >= 2 and "
                    "degree >= 2");
+    if (hubs > 256)
+        sim::fatal("describeRandomRegular: more than 256 HUBs");
     if ((hubs * degree) % 2 != 0)
         sim::fatal("describeRandomRegular: hubs * degree must be "
                    "even");
@@ -287,7 +295,7 @@ describeRandomRegular(std::uint64_t seed, int hubs, int degree,
              std::to_string(degree) + "s" + std::to_string(seed);
     d.hubPorts = hubPorts;
     const int ports = d.effectivePorts();
-    if (cabsPerHub + degree > ports)
+    if (std::int64_t{cabsPerHub} + degree > ports)
         sim::fatal("describeRandomRegular: cabsPerHub + degree "
                    "exceeds ports");
 

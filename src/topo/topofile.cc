@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -31,9 +32,15 @@ tokenize(const std::string &line)
     return out;
 }
 
-/** Parse a non-negative integer; fatal with the line number. */
+/** Upper bound of the int-typed fields (counts, ports, widths). */
+constexpr std::int64_t maxIntField = std::numeric_limits<int>::max();
+/** Upper bound of the 64-bit fields (latencies, seeds). */
+constexpr std::int64_t maxWideField = std::int64_t{1} << 60;
+
+/** Parse an integer in [0, @p max]; fatal with the line number. */
 std::int64_t
-parseInt(const std::string &s, int line, const std::string &what)
+parseInt(const std::string &s, int line, const std::string &what,
+         std::int64_t max)
 {
     if (s.empty())
         parseFatal(line, "empty " + what);
@@ -41,9 +48,10 @@ parseInt(const std::string &s, int line, const std::string &what)
     for (char c : s) {
         if (c < '0' || c > '9')
             parseFatal(line, "bad " + what + " '" + s + "'");
-        v = v * 10 + (c - '0');
-        if (v > (std::int64_t{1} << 60))
+        const int digit = c - '0';
+        if (v > (max - digit) / 10)
             parseFatal(line, what + " out of range: '" + s + "'");
+        v = v * 10 + digit;
     }
     return v;
 }
@@ -61,7 +69,7 @@ parseAttach(const TopologyDescription &d, const std::string &s,
     if (h < 0)
         parseFatal(line, "unknown HUB '" + hubName + "'");
     int p = static_cast<int>(
-        parseInt(s.substr(dot + 1), line, "port"));
+        parseInt(s.substr(dot + 1), line, "port", maxIntField));
     return {h, p};
 }
 
@@ -87,12 +95,13 @@ parseOptions(const std::vector<std::string> &toks, std::size_t from,
 
 std::int64_t
 optInt(const std::map<std::string, std::string> &opts,
-       const std::string &key, std::int64_t dflt, int line)
+       const std::string &key, std::int64_t dflt, int line,
+       std::int64_t max = maxIntField)
 {
     auto it = opts.find(key);
     if (it == opts.end())
         return dflt;
-    return parseInt(it->second, line, key);
+    return parseInt(it->second, line, key, max);
 }
 
 /** Expand a `generate <kind> k=v...` line via the generators. */
@@ -110,7 +119,8 @@ expandGenerate(const std::vector<std::string> &toks, int line,
         int rows = static_cast<int>(optInt(opts, "rows", 0, line));
         int cols = static_cast<int>(optInt(opts, "cols", 0, line));
         int cabs = static_cast<int>(optInt(opts, "cabs", 0, line));
-        sim::Tick lat = optInt(opts, "latency", 0, line);
+        sim::Tick lat =
+            optInt(opts, "latency", 0, line, maxWideField);
         if (rows < 1 || cols < 1)
             parseFatal(line, "generate " + kind +
                                  " needs rows= and cols=");
@@ -125,7 +135,8 @@ expandGenerate(const std::vector<std::string> &toks, int line,
         int leaves =
             static_cast<int>(optInt(opts, "leaves", 0, line));
         int cabs = static_cast<int>(optInt(opts, "cabs", 0, line));
-        sim::Tick lat = optInt(opts, "latency", 0, line);
+        sim::Tick lat =
+            optInt(opts, "latency", 0, line, maxWideField);
         if (spines < 1 || leaves < 1)
             parseFatal(line, "generate fattree needs spines= and "
                              "leaves=");
@@ -134,12 +145,13 @@ expandGenerate(const std::vector<std::string> &toks, int line,
         auto opts = parseOptions(toks, 2, line,
                                  " seed hubs degree cabs latency ");
         std::uint64_t seed = static_cast<std::uint64_t>(
-            optInt(opts, "seed", 1, line));
+            optInt(opts, "seed", 1, line, maxWideField));
         int hubs = static_cast<int>(optInt(opts, "hubs", 0, line));
         int degree =
             static_cast<int>(optInt(opts, "degree", 0, line));
         int cabs = static_cast<int>(optInt(opts, "cabs", 0, line));
-        sim::Tick lat = optInt(opts, "latency", 0, line);
+        sim::Tick lat =
+            optInt(opts, "latency", 0, line, maxWideField);
         if (hubs < 2 || degree < 2)
             parseFatal(line, "generate random needs hubs= and "
                              "degree=");
@@ -211,7 +223,7 @@ parseTopology(const std::string &text)
             if (d.hubPorts != 0)
                 parseFatal(lineNo, "duplicate ports line");
             d.hubPorts = static_cast<int>(
-                parseInt(toks[1], lineNo, "port count"));
+                parseInt(toks[1], lineNo, "port count", maxIntField));
             if (d.hubPorts < 1 || d.hubPorts > 256)
                 parseFatal(lineNo, "ports must be in [1, 256]");
         } else if (kw == "generate") {
@@ -238,7 +250,8 @@ parseTopology(const std::string &text)
                 parseOptions(toks, 3, lineNo, " latency width ");
             d.trunks.push_back(
                 TrunkDecl{a, pa, b, pb,
-                          optInt(opts, "latency", 0, lineNo),
+                          optInt(opts, "latency", 0, lineNo,
+                                 maxWideField),
                           static_cast<int>(
                               optInt(opts, "width", 1, lineNo))});
         } else if (kw == "cab") {
@@ -248,8 +261,10 @@ parseTopology(const std::string &text)
             auto [h, p] = parseAttach(d, toks[2], lineNo);
             auto opts = parseOptions(toks, 3, lineNo, " latency ");
             std::string name = toks[1] == "-" ? "" : toks[1];
-            d.cabs.push_back(CabDecl{
-                name, h, p, optInt(opts, "latency", 0, lineNo)});
+            d.cabs.push_back(
+                CabDecl{name, h, p,
+                        optInt(opts, "latency", 0, lineNo,
+                               maxWideField)});
         } else {
             parseFatal(lineNo, "unknown keyword '" + kw + "'");
         }

@@ -1,21 +1,21 @@
 /**
  * @file
- * The three canonical determinism scenarios, shared between the
- * same-seed reproducibility harness (test_determinism.cc) and the
+ * The canonical determinism scenarios, shared between the same-seed
+ * reproducibility harness (test_determinism.cc) and the
  * golden-fingerprint test (test_golden_fingerprint.cc).
  *
  * Each scenario is a compact replica of a tier-1 benchmark workload
- * (the E9 packet pipeline and the C1/C2 collectives from bench/) and
- * returns the event-trace Trace of one run — the rolling FNV-1a hash
- * the EventQueue folds over (when, priority, sequence) of every
- * executed event, plus the executed count and end-of-sim tick.
+ * (the E9 packet pipeline and the C1/C2 collectives from bench/, plus
+ * a multi-HUB allreduce on a .topo fabric) and returns the event-trace
+ * Trace of one run — the rolling FNV-1a hash the EventQueue folds
+ * over (when, priority, sequence) of every executed event, plus the
+ * executed count and end-of-sim tick.
  * Keeping the scenarios in one header means the reproducibility and
  * golden tests can never drift apart.
  */
 
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,8 +25,6 @@
 #include "nectarine/nectarine.hh"
 #include "node/node.hh"
 #include "sim/coro.hh"
-#include "sim/parallel.hh"
-#include "topo/description.hh"
 #include "workload/allreduce.hh"
 
 // nectar-lint-file: capture-ok test frames drive eq.run() to
@@ -49,20 +47,16 @@ struct Trace
     }
 };
 
-/**
- * Scenario body shared by the classic single-queue run and the
- * parallel-engine run: @p eq is the queue the workload endpoints live
- * on (cluster 0's shard under the parallel engine) and @p run drains
- * the whole assembly.
- */
+/** E9 replica: pipelined node-to-node transfer over one HUB. */
 inline Trace
-packetPipelineOn(sim::EventQueue &eq, nectarine::NectarSystem &sysRef,
-                 std::uint32_t totalBytes,
-                 const std::function<void()> &run)
+packetPipelineOnce(std::uint32_t totalBytes)
 {
     using sim::Task;
 
-    auto *sys = &sysRef;
+    sim::copyStats().reset();
+    sim::BufferArena::instance().resetStats();
+    sim::EventQueue eq;
+    auto sys = nectarine::NectarSystem::singleHub(eq, 2);
     node::Node src(eq, "src"), dst(eq, "dst");
     auto &mb = sys->site(1).kernel->createMailbox("in", 2 << 20, 10);
 
@@ -104,47 +98,19 @@ packetPipelineOn(sim::EventQueue &eq, nectarine::NectarSystem &sysRef,
             co_await window.pop();
     }(eq, src, *sys->site(0).transport, totalBytes, chunk));
 
-    run();
+    eq.run();
     return Trace{eq.fingerprint(), eq.executedCount(), eq.now()};
 }
 
-/** E9 replica: pipelined node-to-node transfer over one HUB. */
+/** C1 replica: broadcast to a group over hardware multicast. */
 inline Trace
-packetPipelineOnce(std::uint32_t totalBytes)
-{
-    sim::copyStats().reset();
-    sim::BufferArena::instance().resetStats();
-    sim::EventQueue eq;
-    auto sys = nectarine::NectarSystem::singleHub(eq, 2);
-    return packetPipelineOn(eq, *sys, totalBytes, [&] { eq.run(); });
-}
-
-/** packetPipelineOnce() on the parallel engine (one cluster: the
- *  epoch protocol must reproduce the legacy trace byte-for-byte). */
-inline Trace
-packetPipelineThreads(std::uint32_t totalBytes, int threads)
-{
-    sim::copyStats().reset();
-    sim::BufferArena::instance().resetStats();
-    sim::ParallelEngine engine(1, threads);
-    auto sys = nectarine::NectarSystem::fromDescription(
-        engine, topo::describeSingleHub(
-                    2, nectarine::NectarSystem::defaultHubConfig()
-                           .numPorts));
-    return packetPipelineOn(engine.queueFor(0), *sys, totalBytes,
-                            [&] { engine.run(); });
-}
-
-/** Broadcast scenario body (see packetPipelineOn for the contract). */
-inline Trace
-broadcastOn(sim::EventQueue &eq, nectarine::NectarSystem &sysRef,
-            int members, std::uint32_t bytes,
-            const std::function<void()> &run)
+broadcastOnce(int members, std::uint32_t bytes)
 {
     using nectarine::TaskContext;
     using sim::Task;
 
-    auto *sys = &sysRef;
+    sim::EventQueue eq;
+    auto sys = nectarine::NectarSystem::singleHub(eq, members);
     nectarine::Nectarine api(*sys);
     collective::GroupDirectory groups;
     auto gid = std::make_shared<collective::GroupId>(0);
@@ -163,52 +129,25 @@ broadcastOn(sim::EventQueue &eq, nectarine::NectarSystem &sysRef,
             }));
     }
     *gid = groups.create("bcast", ids);
-    run();
+    eq.run();
     return Trace{eq.fingerprint(), eq.executedCount(), eq.now()};
 }
 
-/** C1 replica: broadcast to a group over hardware multicast. */
-inline Trace
-broadcastOnce(int members, std::uint32_t bytes)
-{
-    sim::EventQueue eq;
-    auto sys = nectarine::NectarSystem::singleHub(eq, members);
-    return broadcastOn(eq, *sys, members, bytes, [&] { eq.run(); });
-}
-
-/** broadcastOnce() on the parallel engine. */
-inline Trace
-broadcastThreads(int members, std::uint32_t bytes, int threads)
-{
-    sim::ParallelEngine engine(1, threads);
-    auto sys = nectarine::NectarSystem::fromDescription(
-        engine,
-        topo::describeSingleHub(
-            members,
-            nectarine::NectarSystem::defaultHubConfig().numPorts));
-    return broadcastOn(engine.queueFor(0), *sys, members, bytes,
-                       [&] { engine.run(); });
-}
-
-/** Allreduce scenario body (see packetPipelineOn for the contract). */
+/** Allreduce over @p sys on sites @p sites; drains @p eq. */
 inline Trace
 allreduceOn(sim::EventQueue &eq, nectarine::NectarSystem &sys,
-            int members, std::uint32_t bytes, int rounds,
-            const std::function<void()> &run)
+            const std::vector<std::size_t> &sites, std::uint32_t bytes,
+            int rounds)
 {
     nectarine::Nectarine api(sys);
     collective::GroupDirectory groups;
     workload::AllreduceConfig cfg;
-    cfg.members = members;
+    cfg.members = static_cast<int>(sites.size());
     cfg.bytes = bytes;
     cfg.rounds = rounds;
-    std::vector<std::size_t> sites(static_cast<std::size_t>(members));
-    for (int i = 0; i < members; ++i)
-        sites[static_cast<std::size_t>(i)] =
-            static_cast<std::size_t>(i);
     workload::AllreduceWorkload w(api, groups, sites, cfg);
-    run();
-    sim::simAssert(w.report().okMembers == members,
+    eq.run();
+    sim::simAssert(w.report().okMembers == cfg.members,
                    "allreduce scenario must complete on all members");
     return Trace{eq.fingerprint(), eq.executedCount(), eq.now()};
 }
@@ -219,23 +158,27 @@ allreduceOnce(int members, std::uint32_t bytes, int rounds)
 {
     sim::EventQueue eq;
     auto sys = nectarine::NectarSystem::singleHub(eq, members);
-    return allreduceOn(eq, *sys, members, bytes, rounds,
-                       [&] { eq.run(); });
+    std::vector<std::size_t> sites(static_cast<std::size_t>(members));
+    for (std::size_t i = 0; i < sites.size(); ++i)
+        sites[i] = i;
+    return allreduceOn(eq, *sys, sites, bytes, rounds);
 }
 
-/** allreduceOnce() on the parallel engine. */
+/**
+ * Multi-HUB allreduce: the fabric in @p topoFile with @p members
+ * spread evenly over its sites, so the group spans several HUB
+ * clusters and every round crosses inter-HUB trunks.
+ */
 inline Trace
-allreduceThreads(int members, std::uint32_t bytes, int rounds,
-                 int threads)
+allreduceFabricOnce(const std::string &topoFile, int members,
+                    std::uint32_t bytes, int rounds)
 {
-    sim::ParallelEngine engine(1, threads);
-    auto sys = nectarine::NectarSystem::fromDescription(
-        engine,
-        topo::describeSingleHub(
-            members,
-            nectarine::NectarSystem::defaultHubConfig().numPorts));
-    return allreduceOn(engine.queueFor(0), *sys, members, bytes,
-                       rounds, [&] { engine.run(); });
+    sim::EventQueue eq;
+    auto sys = nectarine::NectarSystem::fromTopoFile(eq, topoFile);
+    std::vector<std::size_t> sites(static_cast<std::size_t>(members));
+    for (std::size_t i = 0; i < sites.size(); ++i)
+        sites[i] = i * sys->siteCount() / sites.size();
+    return allreduceOn(eq, *sys, sites, bytes, rounds);
 }
 
 } // namespace nectar::testutil

@@ -124,6 +124,33 @@ TEST(PlanIo, MalformedInputIsFatal)
     EXPECT_THROW(loadPlan(testing::TempDir() +
                           "chaos_fuzz_does_not_exist.plan"),
                  sim::FatalError);
+
+    // Integer fields are parsed whole and range-checked: non-numeric
+    // values, trailing garbage and overflow are fatal, naming the
+    // line, instead of silently reading as some other target.
+    const char *badEvents[] = {
+        "event at=100 action=hubLinkDown hub=x1 port=1",
+        "event at=100 action=hubLinkDown hub=1x port=1",
+        "event at=100 action=hubLinkDown hub=0 port=4294967296",
+        "event at=100 action=hubLinkDown hub=0 port=",
+        "event at=100 action=cabCrash site=2147483648",
+        "event at=100 action=cabCrash site=-2147483649",
+        "event at=99999999999999999999 action=cabCrash site=0",
+        "event at=-5 action=cabCrash site=0",
+    };
+    for (const char *ev : badEvents) {
+        std::string text = std::string("nectar-fault-plan v1\n"
+                                       "seed 1\n") +
+                           ev + "\nend\n";
+        try {
+            parsePlan(text);
+            ADD_FAILURE() << "accepted: " << ev;
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("line 3"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // ----- plan validation policy ---------------------------------------

@@ -67,33 +67,15 @@ TEST(Determinism, AllreduceTraceIsReproducible)
     EXPECT_EQ(a, b);
 }
 
-// The parallel engine on a single-HUB system is one shard running the
-// same epoch protocol; at every thread count its trace must be
-// byte-identical to the classic engine's (the --threads 1 contract of
-// DESIGN.md "Parallel engine", and the no-surprises default for
-// single-cluster fabrics at any thread count).
-
-TEST(Determinism, PacketPipelineThreadCountInvariant)
+// The single-HUB scenarios never cross a trunk; this one spreads an
+// allreduce group over the 16-HUB fabric so multicast trees, trunk
+// fibers and multi-hop routes all feed the trace.
+TEST(Determinism, FabricAllreduceTraceIsReproducible)
 {
-    const Trace seq = testutil::packetPipelineOnce(32 * 1024);
-    for (int threads : {1, 2, 4, 8})
-        EXPECT_EQ(testutil::packetPipelineThreads(32 * 1024, threads),
-                  seq)
-            << threads << " threads";
-}
-
-TEST(Determinism, BroadcastThreadCountInvariant)
-{
-    const Trace seq = testutil::broadcastOnce(4, 512);
-    for (int threads : {1, 2, 4, 8})
-        EXPECT_EQ(testutil::broadcastThreads(4, 512, threads), seq)
-            << threads << " threads";
-}
-
-TEST(Determinism, AllreduceThreadCountInvariant)
-{
-    const Trace seq = testutil::allreduceOnce(4, 256, 2);
-    for (int threads : {1, 2, 4, 8})
-        EXPECT_EQ(testutil::allreduceThreads(4, 256, 2, threads), seq)
-            << threads << " threads";
+    const std::string fabric =
+        std::string(NECTAR_FABRIC_DIR) + "/fabric16.topo";
+    Trace a = testutil::allreduceFabricOnce(fabric, 8, 256, 2);
+    Trace b = testutil::allreduceFabricOnce(fabric, 8, 256, 2);
+    EXPECT_GT(a.executed, 0u);
+    EXPECT_EQ(a, b);
 }

@@ -154,35 +154,6 @@ TEST(GoldenFingerprint, AllreduceMatchesSeedEngine)
     EXPECT_EQ(t.end, goldenAllreduceEnd);
 }
 
-// The same golden constants, reproduced by the parallel engine at 8
-// threads: the strongest form of the bit-identical contract — not
-// merely "parallel equals sequential", but "parallel equals the seed
-// engine of PR 0".
-
-TEST(GoldenFingerprint, PacketPipelineEightThreadsMatchesGolden)
-{
-    Trace t = testutil::packetPipelineThreads(32 * 1024, 8);
-    EXPECT_EQ(t.fingerprint, goldenPipelineFp);
-    EXPECT_EQ(t.executed, goldenPipelineExecuted);
-    EXPECT_EQ(t.end, goldenPipelineEnd);
-}
-
-TEST(GoldenFingerprint, BroadcastEightThreadsMatchesGolden)
-{
-    Trace t = testutil::broadcastThreads(4, 512, 8);
-    EXPECT_EQ(t.fingerprint, goldenBroadcastFp);
-    EXPECT_EQ(t.executed, goldenBroadcastExecuted);
-    EXPECT_EQ(t.end, goldenBroadcastEnd);
-}
-
-TEST(GoldenFingerprint, AllreduceEightThreadsMatchesGolden)
-{
-    Trace t = testutil::allreduceThreads(4, 256, 2, 8);
-    EXPECT_EQ(t.fingerprint, goldenAllreduceFp);
-    EXPECT_EQ(t.executed, goldenAllreduceExecuted);
-    EXPECT_EQ(t.end, goldenAllreduceEnd);
-}
-
 TEST(GoldenFingerprint, ChurnWorkloadMatchesLegacyModel)
 {
     for (std::uint64_t seed : {1ULL, 42ULL, 20260805ULL}) {

@@ -11,6 +11,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 
 #include "sim/logging.hh"
 #include "topo/description.hh"
@@ -304,10 +305,43 @@ TEST(TopoFileTest, MalformedInputIsFatal)
         "nectar-topo v1\ngenerate random hubs=10 degree=1\nend\n",
         "nectar-topo v1\nhub a\ngenerate mesh2d rows=2 cols=2\nend\n",
         "nectar-topo v1\ngenerate mesh2d rows=2 cols=2\nhub a\nend\n",
+        "nectar-topo v1\ngenerate mesh2d rows=2147483647 cols=2\nend\n",
+        "nectar-topo v1\ngenerate mesh2d rows=1 cols=1 "
+        "cabs=2147483647\nend\n",
+        "nectar-topo v1\ngenerate random hubs=2147483647 degree=2\nend\n",
+        "nectar-topo v1\ngenerate fattree spines=2147483647 leaves=2 "
+        "cabs=2147483647\nend\n",
     };
     for (const char *text : corpus)
         EXPECT_THROW(parseTopology(text), sim::FatalError)
             << "accepted: <<<" << text << ">>>";
+
+    // Integers past their field's range are fatal, naming the line,
+    // rather than truncated into a different (valid) fabric.
+    const std::pair<const char *, const char *> outOfRange[] = {
+        {"nectar-topo v1\ngenerate mesh2d rows=4294967298 cols=2 "
+         "cabs=1\nend\n",
+         "line 2"},
+        {"nectar-topo v1\nhub a\nhub b\ntrunk a.4294967296 b.0\nend\n",
+         "line 4"},
+        {"nectar-topo v1\nhub a\nhub b\n"
+         "trunk a.15 b.14 width=4294967297\nend\n",
+         "line 4"},
+        {"nectar-topo v1\nports 99999999999999999999\nend\n", "line 2"},
+        {"nectar-topo v1\nhub a\ncab c a.0 "
+         "latency=99999999999999999999\nend\n",
+         "line 3"},
+    };
+    for (const auto &[text, line] : outOfRange) {
+        try {
+            parseTopology(text);
+            ADD_FAILURE() << "accepted: <<<" << text << ">>>";
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(line),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 
     EXPECT_THROW(loadTopologyFile(testing::TempDir() +
                                   "topo_does_not_exist.topo"),
