@@ -149,12 +149,10 @@ F1_RouteCompile(benchmark::State &state, const std::string &kind)
                              t = RouteTable::compile(g)); });
     state.counters["hubs"] = g.numHubs();
     state.counters["links"] = g.numLinks();
-    state.counters["restricted"] = t.restrictedSources();
     state.counters["compile_us"] = usPerCompile;
     Row row{"route_compile", kind + std::to_string(g.numHubs()), {}};
     row.metrics["hubs"] = g.numHubs();
     row.metrics["links"] = g.numLinks();
-    row.metrics["restricted_sources"] = t.restrictedSources();
     row.metrics["compile_us"] = usPerCompile;
     record(std::move(row));
 }

@@ -56,9 +56,8 @@ main(int argc, char **argv)
         for (int b = 0; b < desc.numHubs(); ++b)
             diameter = std::max(diameter, table.dist(a, b));
     std::printf("route table: %d sources compiled, diameter %d "
-                "trunk hops, %d restricted sources\n",
-                table.numHubs(), diameter,
-                table.restrictedSources());
+                "trunk hops\n",
+                table.numHubs(), diameter);
 
     // Ping corner to corner (the longest route in the fabric).
     Nectarine api(*sys);

@@ -503,125 +503,31 @@ EventQueue::fireTop()
 }
 
 std::uint64_t
-EventQueue::fireTick(Tick t, std::uint64_t budget)
+EventQueue::fireThrough(Tick until, std::uint64_t limit, Tick &next)
 {
-    std::uint64_t fired = 0;
-    SIM_INVARIANT(_ready == nullptr,
-                  "fireTick batch path runs off the due heap");
-
-    // Extract the equal-timestamp run out of the due heap in one
-    // linear pass (dropping stale entries as we go), then restore the
-    // heap property over the survivors.  The due heap can legitimately
-    // hold future-tick entries here — a runUntil() peek that overshot
-    // re-files its candidate — so partition by tick, don't assume the
-    // heap is homogeneous.
-    std::vector<HeapEntry> batch = std::move(_batchScratch);
-    batch.clear();
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < _due.size(); ++i) {
-        const HeapEntry &e = _due[i];
-        if (_nodes[e.node]->gen != e.gen)
-            continue; // stale: cancelled or re-armed
-        if (e.when == t)
-            batch.push_back(e);
-        else
-            _due[keep++] = e;
-    }
-    _due.resize(keep);
-    std::make_heap(_due.begin(), _due.end(), HeapLater{});
-    std::sort(batch.begin(), batch.end(),
-              [](const HeapEntry &a, const HeapEntry &b) {
-                  if (a.prio != b.prio)
-                      return a.prio < b.prio;
-                  return a.seq < b.seq;
-              });
-
-    for (std::size_t bi = 0; bi < batch.size(); ++bi) {
-        const HeapEntry e = batch[bi];
-        bool dead = false;
-        // Events scheduled at t *during* the batch land in the due
-        // heap with fresh (larger) sequence numbers; any of them in a
-        // stronger priority class (e.g. a front continuation) must
-        // fire before the rest of the batch, exactly as the per-event
-        // engine would have ordered them.
-        while (true) {
-            if (_nodes[e.node]->gen != e.gen) {
-                dead = true; // a fired event cancelled/re-armed it
-                break;
-            }
-            heapPrune(_due);
-            if (_due.empty() || _due.front().when != t)
-                break;
-            const HeapEntry &top = _due.front();
-            if (top.prio > e.prio ||
-                (top.prio == e.prio && top.seq > e.seq))
-                break;
-            fireTop();
-            ++fired;
-            if (fired >= budget)
-                break;
-        }
-        if (dead)
-            continue;
-        if (fired >= budget ||
-            _nodes[e.node]->gen != e.gen) {
-            // Out of budget (or e died on the final interleave): put
-            // the unfired tail back for the next fireTick() round.
-            for (std::size_t j = bi; j < batch.size(); ++j) {
-                const HeapEntry &r = batch[j];
-                if (_nodes[r.node]->gen == r.gen &&
-                    (j > bi || fired >= budget))
-                    heapPush(_due, r);
-            }
+    std::uint64_t n = 0;
+    while (true) {
+        next = nextTick();
+        if (next == noTick || next > until || n == limit)
             break;
-        }
-        fireNode(_nodes[e.node].get(), e.when, e.prio, e.seq);
-        ++fired;
-        if (fired >= budget) {
-            for (std::size_t j = bi + 1; j < batch.size(); ++j) {
-                const HeapEntry &r = batch[j];
-                if (_nodes[r.node]->gen == r.gen)
-                    heapPush(_due, r);
-            }
-            break;
-        }
+        fireTop();
+        ++n;
     }
-    batch.clear();
-    _batchScratch = std::move(batch);
-    return fired;
-}
-
-bool
-EventQueue::step()
-{
-    if (nextTick() == noTick)
-        return false;
-    fireTop();
-    return true;
+    if (_ready != nullptr) {
+        // Unfired peek: put the direct-fire candidate back (it
+        // already counts as due; see nextTick()).
+        heapPush(_due, entryFor(_ready));
+        _ready = nullptr;
+    }
+    return n;
 }
 
 std::uint64_t
 EventQueue::run(std::uint64_t limit)
 {
-    // Tiny due heaps fire per-event: below this size fireTick()'s
-    // extraction pass costs more than the heap pops it saves.  Firing
-    // one event and re-entering nextTick() (which early-outs on
-    // due == now) is exactly the per-event engine's order, so the
-    // small path is always safe to take.
-    constexpr std::size_t batchThreshold = 4;
-    std::uint64_t n = 0;
-    while (n < limit) {
-        const Tick t = nextTick();
-        if (t == noTick)
-            break;
-        if (_ready != nullptr || _due.size() < batchThreshold) {
-            fireTop();
-            ++n;
-            continue;
-        }
-        n += fireTick(t, limit - n);
-    }
-    if (n == limit)
+    Tick next = noTick;
+    const std::uint64_t n = fireThrough(noTick, limit, next);
+    if (next != noTick)
         warn("EventQueue::run: event limit reached");
     return n;
 }
@@ -632,29 +538,12 @@ EventQueue::runUntil(Tick until, std::uint64_t limit)
     if (until < _now)
         panic("EventQueue::runUntil: target tick in the past");
 
-    constexpr std::size_t batchThreshold = 4; // see run()
-    std::uint64_t n = 0;
-    while (n < limit) {
-        const Tick t = nextTick();
-        if (t == noTick || t > until) {
-            if (_ready != nullptr) {
-                // The peek overshot: put the direct-fire candidate
-                // back (it already counts as due; see nextTick()).
-                heapPush(_due, entryFor(_ready));
-                _ready = nullptr;
-            }
-            break;
-        }
-        if (_ready != nullptr || _due.size() < batchThreshold) {
-            fireTop();
-            ++n;
-            continue;
-        }
-        n += fireTick(t, limit - n);
-    }
-    if (n == limit)
+    Tick next = noTick;
+    const std::uint64_t n = fireThrough(until, limit, next);
+    if (next != noTick && next <= until)
         warn("EventQueue::runUntil: event limit reached");
-    _now = until;
+    else
+        _now = until;
     return n;
 }
 

@@ -194,7 +194,8 @@ class EventQueue
 
     /**
      * Run events with tick <= @p until (inclusive), then set now() to
-     * @p until even if the queue drained earlier.
+     * @p until even if the queue drained earlier.  When @p limit
+     * stops the run first, now() stays at the last event fired.
      *
      * @return Number of events executed.
      */
@@ -333,21 +334,14 @@ class EventQueue
                   std::uint64_t seq);
 
     /**
-     * Execute every event due at tick @p t (which nextTick() just
-     * returned, leaving the due heap's top fresh at @p t — callers
-     * take the direct-fire/_ready path separately), at most @p budget
-     * of them, in (priority, sequence) order.  Drains the
-     * equal-timestamp run out of the due heap in one pass instead of
-     * paying a heap push/pop per event; events scheduled at @p t
-     * *during* the batch still interleave exactly as the per-event
-     * engine ordered them.
+     * Fire events with tick <= @p until, at most @p limit of them.
+     * @p next receives the tick of the first unfired event, or
+     * maxTick when the queue drained.
      *
-     * @return Events executed (>= 1 when budget > 0).
+     * @return Events executed.
      */
-    std::uint64_t fireTick(Tick t, std::uint64_t budget);
-
-    /** Pop and execute the next live event, if any. */
-    bool step();
+    std::uint64_t fireThrough(Tick until, std::uint64_t limit,
+                              Tick &next);
 
     /** Fold @p v into the event-trace fingerprint (FNV-1a). */
     void mixFingerprint(std::uint64_t v);
@@ -373,14 +367,11 @@ class EventQueue
     /** Direct-fire fast path: when the next tick's sole candidate is
      *  a single wheel node, nextTick() parks it here and fireTop()
      *  fires it without a due-heap round trip.  Consumed by
-     *  fireTop(); runUntil() re-files it when its peek overshoots. */
+     *  fireTop(); fireThrough() re-files it when it stops on a peek. */
     EventNode *_ready = nullptr;
     MinHeap _due;   ///< events at the tick being executed
     MinHeap _early; ///< events behind _cursor (rare; see _cursor)
     MinHeap _far;   ///< events beyond the wheel horizon
-    /** Scratch for fireTick()'s equal-timestamp extraction (swapped
-     *  in and out so a reentrant run() gets a fresh vector). */
-    std::vector<HeapEntry> _batchScratch;
 
     std::vector<std::unique_ptr<EventNode>> _nodes;
     EventNode *_freelist = nullptr;

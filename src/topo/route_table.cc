@@ -128,93 +128,16 @@ RouteTable::orient()
 RouteTable::Source
 RouteTable::compileSource(int s) const
 {
-    const int n = _graph.numHubs();
+    // BFS over (hub, phase) states.  From an up state every live edge
+    // is traversable (up moves keep phase up); from a down state only
+    // down moves are.  First state discovered per hub is that hub's
+    // winner; routes replay the state preds.
+    const auto n = static_cast<std::size_t>(_graph.numHubs());
     Source src;
-    src.dist.assign(static_cast<std::size_t>(n), -1);
-    src.winner.assign(static_cast<std::size_t>(n), phaseNone);
-
-    // Pass 1: the historical plain BFS (FIFO queue, insertion-order
-    // adjacency, first discovery wins).  This is the exact algorithm
-    // route() used for every release so far; keeping it byte-for-byte
-    // is what pins the mesh2D routes and golden fingerprints.
-    src.prev.assign(static_cast<std::size_t>(n),
-                    {-1, hub::noPort});
-    {
-        std::vector<bool> seen(static_cast<std::size_t>(n), false);
-        std::deque<int> frontier{s};
-        seen[static_cast<std::size_t>(s)] = true;
-        src.dist[static_cast<std::size_t>(s)] = 0;
-        while (!frontier.empty()) {
-            int h = frontier.front();
-            frontier.pop_front();
-            for (const FabricGraph::Adj &a : _graph.adjacencyOf(h)) {
-                if (!_graph.linkUp(a.linkIndex))
-                    continue;
-                auto un = static_cast<std::size_t>(a.neighbor);
-                if (!seen[un]) {
-                    seen[un] = true;
-                    src.prev[un] = {h, a.myPort};
-                    src.dist[un] =
-                        src.dist[static_cast<std::size_t>(h)] + 1;
-                    frontier.push_back(a.neighbor);
-                }
-            }
-        }
-    }
-
-    // Legality scan: phase of each hub along its tree path.  A tree
-    // edge taken in phase down that moves root-ward (up) would be a
-    // down->up turn — then this source needs the restricted search.
-    {
-        bool legal = true;
-        std::vector<std::uint8_t> phase(static_cast<std::size_t>(n),
-                                        phaseNone);
-        phase[static_cast<std::size_t>(s)] = phaseUp;
-        // prev[] parents always precede children in dist order; a
-        // simple dist-ordered sweep assigns phases parent-first.
-        std::vector<int> order;
-        order.reserve(static_cast<std::size_t>(n));
-        for (int h = 0; h < n; ++h)
-            if (h != s && src.dist[static_cast<std::size_t>(h)] >= 0)
-                order.push_back(h);
-        std::sort(order.begin(), order.end(), [&](int x, int y) {
-            return src.dist[static_cast<std::size_t>(x)] <
-                   src.dist[static_cast<std::size_t>(y)];
-        });
-        for (int h : order) {
-            auto [p, port] = src.prev[static_cast<std::size_t>(h)];
-            int link = _graph.linkAtPort(p, port);
-            bool movesUp = upMove(link, h);
-            std::uint8_t pp = phase[static_cast<std::size_t>(p)];
-            if (pp == phaseDown && movesUp) {
-                legal = false;
-                break;
-            }
-            phase[static_cast<std::size_t>(h)] =
-                (pp == phaseUp && movesUp) ? phaseUp : phaseDown;
-        }
-        if (legal) {
-            for (int h = 0; h < n; ++h)
-                src.winner[static_cast<std::size_t>(h)] =
-                    phase[static_cast<std::size_t>(h)];
-            src.winner[static_cast<std::size_t>(s)] = phaseUp;
-            return src;
-        }
-    }
-
-    // Pass 2: restricted BFS over (hub, phase) states.  From an up
-    // state every live edge is traversable (up moves keep phase up);
-    // from a down state only down moves are.  First state discovered
-    // per hub is that hub's winner; routes replay the state preds.
-    src.restricted = true;
-    src.prev.clear();
-    src.spred.assign(static_cast<std::size_t>(n) * 2, StatePred{});
-    std::fill(src.dist.begin(), src.dist.end(), -1);
-    std::vector<int> sdist(static_cast<std::size_t>(n) * 2, -1);
-
-    auto stateOf = [](int hub, std::uint8_t ph) {
-        return static_cast<std::size_t>(hub) * 2 + ph;
-    };
+    src.dist.assign(n, -1);
+    src.winner.assign(n, phaseNone);
+    src.spred.assign(n * 2, StatePred{});
+    std::vector<int> sdist(n * 2, -1);
 
     std::deque<std::pair<int, std::uint8_t>> frontier;
     src.spred[stateOf(s, phaseUp)].seen = true;
@@ -287,29 +210,15 @@ RouteTable::path(int from, int to, std::vector<PathHop> &hops) const
     if (dist(from, to) < 0)
         return false;
     const Source &src = _sources[static_cast<std::size_t>(from)];
-    if (!src.restricted) {
-        // Walk the legacy prev tree destination-first, then reverse —
-        // the same reconstruction route() always did.
-        std::vector<PathHop> rev;
-        for (int h = to; h != from;) {
-            auto [p, port] = src.prev[static_cast<std::size_t>(h)];
-            rev.push_back(PathHop{p, port});
-            h = p;
-        }
-        hops.assign(rev.rbegin(), rev.rend());
-        return true;
-    }
-    std::vector<PathHop> rev;
     int h = to;
     std::uint8_t ph = src.winner[static_cast<std::size_t>(to)];
     while (h != from || ph != phaseUp) {
-        const StatePred &sp =
-            src.spred[static_cast<std::size_t>(h) * 2 + ph];
-        rev.push_back(PathHop{sp.prevHub, sp.port});
+        const StatePred &sp = src.spred[stateOf(h, ph)];
+        hops.push_back(PathHop{sp.prevHub, sp.port});
         h = sp.prevHub;
         ph = sp.prevPhase;
     }
-    hops.assign(rev.rbegin(), rev.rend());
+    std::reverse(hops.begin(), hops.end());
     return true;
 }
 
@@ -322,143 +231,9 @@ RouteTable::upEndOf(int linkIndex) const
     return _upEnd[static_cast<std::size_t>(linkIndex)];
 }
 
-bool
-RouteTable::restrictedSource(int s) const
-{
-    if (s < 0 || s >= numHubs())
-        sim::fatal("RouteTable::restrictedSource: bad hub index");
-    return _sources[static_cast<std::size_t>(s)].restricted;
-}
-
-int
-RouteTable::restrictedSources() const
-{
-    int n = 0;
-    for (const Source &s : _sources)
-        n += s.restricted ? 1 : 0;
-    return n;
-}
-
 // --------------------------------------------------------------------
 // Multicast trees.
 // --------------------------------------------------------------------
-
-RouteTable::McTree
-RouteTable::legacyTree(const Source &src, int from,
-                       const std::vector<int> &destHubs) const
-{
-    // The historical union-of-BFS-paths graft, verbatim: walk each
-    // destination toward the source until the walk meets the tree.
-    McTree t;
-    std::vector<bool> inTree(static_cast<std::size_t>(numHubs()),
-                             false);
-    inTree[static_cast<std::size_t>(from)] = true;
-    for (int d : destHubs) {
-        if (d != from &&
-            src.prev[static_cast<std::size_t>(d)].first == -1)
-            return t; // unreachable member: ok stays false
-        for (int h = d; !inTree[static_cast<std::size_t>(h)];) {
-            inTree[static_cast<std::size_t>(h)] = true;
-            auto [parent, port] =
-                src.prev[static_cast<std::size_t>(h)];
-            auto &kids = t.children[parent];
-            if (std::find(kids.begin(), kids.end(),
-                          std::make_pair(port, h)) == kids.end())
-                kids.emplace_back(port, h);
-            h = parent;
-        }
-    }
-    t.ok = true;
-    return t;
-}
-
-RouteTable::McTree
-RouteTable::restrictedTree(const Source &src, int from,
-                           const std::vector<int> &destHubs) const
-{
-    // Grow the tree one member at a time with a multi-source
-    // restricted BFS from every state already in the tree.  New paths
-    // may not pass through hubs the tree already covers (each hub
-    // keeps exactly one parent, so the depth-first emission opens it
-    // once), which can make an otherwise-reachable member unbuildable
-    // — then ok stays false and the transport falls back to unicast
-    // fan-out, exactly as for a partitioned fabric.
-    McTree t;
-    const int n = numHubs();
-    auto stateOf = [](int hub, std::uint8_t ph) {
-        return static_cast<std::size_t>(hub) * 2 + ph;
-    };
-    std::vector<bool> inTreeHub(static_cast<std::size_t>(n), false);
-    std::vector<std::pair<int, std::uint8_t>> treeStates;
-    inTreeHub[static_cast<std::size_t>(from)] = true;
-    treeStates.emplace_back(from, phaseUp);
-
-    for (int d : destHubs) {
-        if (src.dist[static_cast<std::size_t>(d)] < 0)
-            return t;
-        if (inTreeHub[static_cast<std::size_t>(d)])
-            continue;
-
-        std::vector<StatePred> pred(static_cast<std::size_t>(n) * 2);
-        std::deque<std::pair<int, std::uint8_t>> frontier;
-        for (auto [h, ph] : treeStates) {
-            pred[stateOf(h, ph)].seen = true;
-            frontier.emplace_back(h, ph);
-        }
-        int foundHub = -1;
-        std::uint8_t foundPhase = phaseNone;
-        while (!frontier.empty() && foundHub < 0) {
-            auto [h, ph] = frontier.front();
-            frontier.pop_front();
-            for (const FabricGraph::Adj &a :
-                 _graph.adjacencyOf(h)) {
-                if (!_graph.linkUp(a.linkIndex))
-                    continue;
-                if (inTreeHub[static_cast<std::size_t>(a.neighbor)])
-                    continue; // one parent per hub
-                bool movesUp = upMove(a.linkIndex, a.neighbor);
-                if (ph == phaseDown && movesUp)
-                    continue;
-                std::uint8_t nph =
-                    (ph == phaseUp && movesUp) ? phaseUp
-                                               : phaseDown;
-                std::size_t ns = stateOf(a.neighbor, nph);
-                if (pred[ns].seen)
-                    continue;
-                pred[ns] = StatePred{h, ph, a.myPort, true};
-                if (a.neighbor == d) {
-                    foundHub = a.neighbor;
-                    foundPhase = nph;
-                    break;
-                }
-                frontier.emplace_back(a.neighbor, nph);
-            }
-        }
-        if (foundHub < 0)
-            return t; // no legal graft: caller unicasts
-
-        // Walk back to the tree (seed states carry prevHub == -1),
-        // then attach the chain outward.
-        std::vector<std::pair<int, std::uint8_t>> chain;
-        int h = foundHub;
-        std::uint8_t ph = foundPhase;
-        while (pred[stateOf(h, ph)].prevHub != -1) {
-            chain.emplace_back(h, ph);
-            const StatePred &sp = pred[stateOf(h, ph)];
-            h = sp.prevHub;
-            ph = sp.prevPhase;
-        }
-        std::reverse(chain.begin(), chain.end());
-        for (auto [ch, cph] : chain) {
-            const StatePred &sp = pred[stateOf(ch, cph)];
-            t.children[sp.prevHub].emplace_back(sp.port, ch);
-            inTreeHub[static_cast<std::size_t>(ch)] = true;
-            treeStates.emplace_back(ch, cph);
-        }
-    }
-    t.ok = true;
-    return t;
-}
 
 RouteTable::McTree
 RouteTable::multicastTree(int from,
@@ -470,8 +245,46 @@ RouteTable::multicastTree(int from,
         if (d < 0 || d >= numHubs())
             sim::fatal("RouteTable::multicastTree: bad hub index");
     const Source &src = _sources[static_cast<std::size_t>(from)];
-    return src.restricted ? restrictedTree(src, from, destHubs)
-                          : legacyTree(src, from, destHubs);
+
+    // Graft each member's compiled path onto the tree where it first
+    // meets it.  A state's phase says which way the move into it went
+    // (phase up only after up moves, and every move into a down state
+    // is a down move), so replaying the graft from the junction's
+    // tree phase keeps the path's own phases, except that an up move
+    // out of a junction the tree holds in phase down is a down->up
+    // turn: then no legal tree is built here and ok stays false.
+    McTree t;
+    std::vector<std::uint8_t> treePhase(
+        static_cast<std::size_t>(numHubs()), phaseNone);
+    treePhase[static_cast<std::size_t>(from)] = phaseUp;
+    std::vector<std::pair<int, std::uint8_t>> graft; // member first
+    for (int d : destHubs) {
+        if (src.dist[static_cast<std::size_t>(d)] < 0)
+            return t; // unreachable member
+        graft.clear();
+        int h = d;
+        std::uint8_t ph = src.winner[static_cast<std::size_t>(d)];
+        while (treePhase[static_cast<std::size_t>(h)] == phaseNone) {
+            graft.emplace_back(h, ph);
+            const StatePred &sp = src.spred[stateOf(h, ph)];
+            h = sp.prevHub;
+            ph = sp.prevPhase;
+        }
+        if (graft.empty())
+            continue; // already covered
+        if (treePhase[static_cast<std::size_t>(h)] == phaseDown &&
+            graft.back().second == phaseUp)
+            return t;
+        for (auto it = graft.rbegin(); it != graft.rend(); ++it) {
+            auto [child, cph] = *it;
+            t.children[h].emplace_back(
+                src.spred[stateOf(child, cph)].port, child);
+            treePhase[static_cast<std::size_t>(child)] = cph;
+            h = child;
+        }
+    }
+    t.ok = true;
+    return t;
 }
 
 } // namespace nectar::topo

@@ -21,15 +21,14 @@
  * its up arcs and fall strictly on its down arcs — impossible.
  * tests/test_route_table.cc builds the CDG explicitly and checks.
  *
- * Compatibility.  Per source, the compiler first runs the historical
- * plain BFS (same FIFO, same insertion-order adjacency).  If every
- * path of that tree is already up*-down*-legal — true on single HUBs
- * and on the 2-D meshes all existing scenarios use, where adjacency
- * order makes BFS take north/west (up) moves before east/south — the
- * legacy tree is kept verbatim, byte-identical routes and all.  Only
- * sources whose legacy tree would take an illegal down->up turn fall
- * back to a restricted search over (hub, phase) states, trading a few
- * extra hops for provable freedom from deadlock.
+ * Compilation.  Per source, one breadth-first search over (hub, phase)
+ * states: from an up state any live trunk may be taken, from a down
+ * state only down moves may, and the first state reached at a hub is
+ * that hub's route.  Multicast trees are the union of the members'
+ * compiled paths.  On single HUBs, 2-D meshes and fat trees the
+ * historical router's plain-BFS trees are already up*-down*-legal,
+ * and this search reproduces them hop for hop (tests pin the routes
+ * by digest).
  */
 
 #pragma once
@@ -137,10 +136,10 @@ class RouteTable
     bool path(int from, int to, std::vector<PathHop> &hops) const;
 
     /**
-     * A spanning tree covering @p destHubs, attachment order matching
-     * the historical union-of-BFS-paths graft on legacy-compatible
-     * sources.  ok == false when a member is unreachable or (on a
-     * restricted source) no legal tree exists; callers fall back to
+     * A spanning tree covering @p destHubs: the union of their
+     * compiled paths, each member grafted, in order, where its path
+     * first meets the tree.  ok == false when a member is unreachable
+     * or its graft would take a down->up turn; callers fall back to
      * unicast fan-out.
      */
     McTree multicastTree(int from,
@@ -148,13 +147,6 @@ class RouteTable
 
     /** HUB index of the up (root-ward) end of link @p linkIndex. */
     int upEndOf(int linkIndex) const;
-
-    /** True if the legacy BFS tree from @p s took an illegal
-     *  down->up turn and the restricted search is in force. */
-    bool restrictedSource(int s) const;
-
-    /** Sources falling back to the restricted search (for stats). */
-    int restrictedSources() const;
 
   private:
     static constexpr std::uint8_t phaseUp = 0;
@@ -171,16 +163,16 @@ class RouteTable
 
     struct Source
     {
-        bool restricted = false;
-        /** Legacy tree: (prevHub, portOnPrev toward me), -1 root or
-         *  unreachable.  Empty when restricted. */
-        std::vector<std::pair<int, hub::PortId>> prev;
-        /** Restricted tree over states [hub * 2 + phase].  Empty when
-         *  legacy-compatible. */
+        /** Search tree over states [hub * 2 + phase]. */
         std::vector<StatePred> spred;
         std::vector<std::uint8_t> winner; ///< Phase per hub reached.
         std::vector<int> dist;            ///< Hub-hops, -1 unreachable.
     };
+
+    static std::size_t stateOf(int hub, std::uint8_t phase)
+    {
+        return static_cast<std::size_t>(hub) * 2 + phase;
+    }
 
     /** True if moving across @p linkIndex and arriving at
      *  @p arriveHub is an up (root-ward) move. */
@@ -192,10 +184,6 @@ class RouteTable
 
     void orient();
     Source compileSource(int s) const;
-    McTree legacyTree(const Source &src, int from,
-                      const std::vector<int> &destHubs) const;
-    McTree restrictedTree(const Source &src, int from,
-                          const std::vector<int> &destHubs) const;
 
     FabricGraph _graph{0};
     std::vector<int> _upEnd; ///< Per link: hub index of the up end.

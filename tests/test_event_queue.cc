@@ -142,6 +142,28 @@ TEST(EventQueue, RunUntilAdvancesNowWhenQueueEmpty)
     EXPECT_EQ(eq.now(), 500);
 }
 
+TEST(EventQueue, RunUntilKeepsTimeWhenLimitStopsIt)
+{
+    // The event limit stops the run with events due before the
+    // target still pending: time must not jump past them.
+    EventQueue eq;
+    std::vector<Tick> fired;
+    for (Tick t : {10, 20, 30})
+        eq.schedule(t, [&eq, &fired] { fired.push_back(eq.now()); });
+    EXPECT_EQ(eq.runUntil(100, 1), 1u);
+    EXPECT_EQ(fired, (std::vector<Tick>{10}));
+    EXPECT_EQ(eq.now(), 10);
+    eq.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{10, 20, 30}));
+    EXPECT_EQ(eq.now(), 30);
+
+    // A limit that is reached exactly as the last due event fires
+    // still advances to the target.
+    eq.schedule(40 * ticks::ns, [] {});
+    EXPECT_EQ(eq.runUntil(100, 1), 1u);
+    EXPECT_EQ(eq.now(), 100);
+}
+
 TEST(EventQueue, PendingCountTracksLiveEvents)
 {
     EventQueue eq;

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,12 +43,14 @@ TEST(FabricTest, LoadsAtAcceptanceScale)
     EXPECT_EQ(sys->topo().numHubs(), 16);
     EXPECT_GE(sys->siteCount(), 200u);
 
-    // Every site pair is routable before any traffic flows.
+    // Every site pair is routable before any traffic flows, and no
+    // mesh route detours: each is a shortest (Manhattan) path.
     const topo::RouteTable &table = sys->topo().routeTable();
     for (int a = 0; a < 16; ++a)
         for (int b = 0; b < 16; ++b)
-            EXPECT_TRUE(table.reachable(a, b));
-    EXPECT_EQ(table.restrictedSources(), 0) << "meshes stay legacy";
+            EXPECT_EQ(table.dist(a, b),
+                      std::abs(a / 4 - b / 4) + std::abs(a % 4 - b % 4))
+                << a << "->" << b;
 }
 
 TEST(FabricTest, TransportWorkloadsRunUnmodified)
