@@ -4,7 +4,7 @@
  *
  * Unlike E1-E15, this measures the *simulator*, not the simulated
  * system: the PR-5 engine overhaul (hierarchical timer wheel, pooled
- * event nodes, EventFn small-buffer callbacks, lazy re-arm) is a
+ * event nodes, EventFn small-buffer callbacks) is a
  * wall-clock optimisation and must prove itself against the seed
  * engine, which is preserved verbatim in
  * tests/helpers/legacy_event_queue.hh.  Three synthetic workloads
@@ -14,9 +14,9 @@
  *    the packet pipeline's steady state (E9's engine-side profile),
  *  - mesh: many concurrent actors with mixed horizons — the
  *    mesh-scaling workloads' deep-queue profile (E10),
- *  - churn: retransmission timers re-armed on every ack and almost
- *    never firing — the transport RTO pattern, the motivating case
- *    for O(1) cancel/re-arm.
+ *  - churn: retransmission timers re-armed (cancel + schedule) on
+ *    every ack and almost never firing — the transport RTO pattern,
+ *    the motivating case for O(1) cancel.
  *
  * Every row lands in BENCH_engine.json along with the wheel/seed
  * speedups and a steady-state allocation count: after warm-up, one
@@ -178,8 +178,7 @@ meshScenario(Queue &eq, std::uint64_t events)
 }
 
 /** RTO churn: per-flow timers re-armed on every ack, rarely firing.
- *  The wheel engine takes its lazy re-arm path; the seed engine can
- *  only cancel+schedule, which is what the stack used to do. */
+ *  Both engines re-arm by cancel + schedule, as the stack does. */
 template <typename Queue>
 struct ChurnActor
 {
@@ -194,18 +193,9 @@ struct ChurnActor
             return;
         --budget;
         auto &timer = timers[static_cast<std::size_t>(f)];
-        if constexpr (requires { eq.rearmIn(timer, 2 * ms); }) {
-            auto fresh = eq.rearmIn(timer, 2 * ms);
-            timer = fresh != sim::invalidEventId
-                        ? fresh
-                        : eq.scheduleIn(2 * ms, [] {},
-                                        EventPriority::software);
-        } else {
-            if (eq.pending(timer))
-                eq.cancel(timer);
-            timer = eq.scheduleIn(2 * ms, [] {},
-                                  EventPriority::software);
-        }
+        if (eq.pending(timer))
+            eq.cancel(timer);
+        timer = eq.scheduleIn(2 * ms, [] {}, EventPriority::software);
         eq.scheduleIn(1 * us, [this, f] { ack(f); },
                       EventPriority::software);
     }

@@ -5,7 +5,9 @@
  * "hardware timers allow time-outs to be set by the software with low
  * overhead" (Section 5.1).  Transport retransmission and datalink
  * recovery use these; setting/cancelling charges only
- * CabCostModel::timerOp on the CPU (charged by the caller).
+ * CabCostModel::timerOp on the CPU (charged by the caller).  A timer
+ * is re-armed by cancel() + set(): the engine recycles the cancelled
+ * event straight back, so the pair costs one O(1) unlink and link.
  */
 
 #pragma once
@@ -39,32 +41,6 @@ class HwTimers : public sim::Component
         _set.add();
         return eventq().scheduleIn(delay, std::move(fn),
                                    sim::EventPriority::software);
-    }
-
-    /**
-     * Push an armed timer's expiry out to @p delay from now, keeping
-     * its callback — the Jacobson/Karn RTO pattern, where the timer is
-     * re-armed on every ack and only rarely expires.  When @p id is no
-     * longer armed (it just fired, or was never set), falls back to
-     * arming a fresh timer with @p fallback.
-     *
-     * Counts as a set (and, when re-arming, a cancel): externally the
-     * operation is indistinguishable from the cancel+set it replaces,
-     * but the engine takes a lazy no-refile fast path for the common
-     * re-arm-to-later case.
-     *
-     * @return The timer's new id (the old one is dead).
-     */
-    TimerId
-    rearm(TimerId id, sim::Tick delay, sim::EventFn fallback)
-    {
-        TimerId fresh = eventq().rearmIn(id, delay);
-        if (fresh != sim::invalidEventId) {
-            _cancelled.add();
-            _set.add();
-            return fresh;
-        }
-        return set(delay, std::move(fallback));
     }
 
     /** Disarm; returns false if already fired or cancelled. */

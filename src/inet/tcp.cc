@@ -53,16 +53,6 @@ segmentChecksum(const std::uint8_t *hdr, const sim::PacketView &pl)
     return acc.finish();
 }
 
-/** Parks the coroutine on a socket's waiter list. */
-struct ParkOn
-{
-    std::vector<std::coroutine_handle<>> &list;
-
-    bool await_ready() const { return false; }
-    void await_suspend(std::coroutine_handle<> h) { list.push_back(h); }
-    void await_resume() const {}
-};
-
 } // namespace
 
 const char *
@@ -216,7 +206,7 @@ Tcp::accept(std::uint16_t port)
             l.pending = nullptr;
             break;
         }
-        co_await ParkOn{l.waiters};
+        co_await sim::ParkOn{l.waiters};
     }
     co_return sock;
 }
@@ -246,7 +236,7 @@ Tcp::connect(IpAddress dst, std::uint16_t dstPort)
             }
         });
     while (raw->state() == TcpState::synSent && !raw->failed)
-        co_await ParkOn{raw->waiters};
+        co_await sim::ParkOn{raw->waiters};
     eventq().cancel(deadline);
 
     if (raw->failed)
@@ -511,7 +501,7 @@ TcpSocket::send(std::vector<std::uint8_t> data)
             co_return false;
         // Bounded send buffer: one window's worth of unsent bytes.
         if (sendBuf.size() >= tcp.cfg.window) {
-            co_await ParkOn{waiters};
+            co_await sim::ParkOn{waiters};
             continue;
         }
         std::size_t n = std::min<std::size_t>(
@@ -527,7 +517,7 @@ TcpSocket::send(std::vector<std::uint8_t> data)
     bool blocked = false;
     while (!failed && (sndUna != sndNxt || !sendBuf.empty())) {
         blocked = true;
-        co_await ParkOn{waiters};
+        co_await sim::ParkOn{waiters};
     }
     if (blocked) {
         auto &k = tcp._ip.kernel();
@@ -543,7 +533,7 @@ TcpSocket::receive(std::size_t maxBytes)
     bool blocked = false;
     while (recvBuf.empty() && !peerClosed && !failed) {
         blocked = true;
-        co_await ParkOn{waiters};
+        co_await sim::ParkOn{waiters};
     }
     if (blocked) {
         // A blocked reader is a kernel thread being rescheduled:
@@ -569,7 +559,7 @@ TcpSocket::close()
     }
     while (!failed && _state != TcpState::closed &&
            _state != TcpState::finWait2)
-        co_await ParkOn{waiters};
+        co_await sim::ParkOn{waiters};
 }
 
 } // namespace nectar::inet

@@ -42,19 +42,6 @@ NodeNetStack::wake(std::vector<std::coroutine_handle<>> &waiters)
     }
 }
 
-namespace {
-
-struct ParkOn
-{
-    std::vector<std::coroutine_handle<>> &list;
-
-    bool await_ready() const { return false; }
-    void await_suspend(std::coroutine_handle<> h) { list.push_back(h); }
-    void await_resume() const {}
-};
-
-} // namespace
-
 sim::Task<void>
 NodeNetStack::transmit(std::uint16_t dst, sim::PacketView pkt,
                        bool isAck)
@@ -71,14 +58,7 @@ void
 NodeNetStack::armTimer(std::uint16_t peer, std::uint16_t port,
                        SenderFlow &flow)
 {
-    // Slide the deadline in place when the timer is still armed (the
-    // engine's lazy re-arm fast path); fall back to a fresh event.
-    sim::EventId fresh =
-        eventq().rearmIn(flow.timer, cfg.retransmitTimeout);
-    if (fresh != sim::invalidEventId) {
-        flow.timer = fresh;
-        return;
-    }
+    eventq().cancel(flow.timer);
     flow.timer = eventq().scheduleIn(
         cfg.retransmitTimeout,
         [this, peer, port] { onTimeout(peer, port); },
@@ -126,7 +106,7 @@ NodeNetStack::sendMessage(std::uint16_t dst, std::uint16_t port,
     for (std::uint16_t i = 0; i < frag_count && !flow.failed; ++i) {
         while (!flow.failed &&
                flow.nextSeq - flow.base >= cfg.windowPackets)
-            co_await ParkOn{flow.waiters};
+            co_await sim::ParkOn{flow.waiters};
         if (flow.failed)
             break;
 
@@ -152,7 +132,7 @@ NodeNetStack::sendMessage(std::uint16_t dst, std::uint16_t port,
     }
 
     while (!flow.failed && flow.base != flow.nextSeq)
-        co_await ParkOn{flow.waiters};
+        co_await sim::ParkOn{flow.waiters};
 
     bool ok = !flow.failed;
     flow.mutex.unlock();
@@ -245,7 +225,7 @@ NodeNetStack::receive(std::uint16_t port)
 {
     PortQueue &pq = ports[port];
     while (pq.messages.empty())
-        co_await ParkOn{pq.waiters};
+        co_await sim::ParkOn{pq.waiters};
     auto msg = std::move(pq.messages.front());
     pq.messages.pop_front();
     // The message is copied up to the application (the one counted

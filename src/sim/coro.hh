@@ -366,6 +366,24 @@ struct Delay
 };
 
 /**
+ * Awaitable that parks the coroutine on a waiter list.  Whoever owns
+ * the list wakes its waiters by scheduling their resumption at the
+ * priority that layer needs.
+ *
+ * @code
+ * co_await ParkOn{flow.waiters};
+ * @endcode
+ */
+struct ParkOn
+{
+    std::vector<std::coroutine_handle<>> &list;
+
+    bool await_ready() const { return false; }
+    void await_suspend(std::coroutine_handle<> h) { list.push_back(h); }
+    void await_resume() const {}
+};
+
+/**
  * An unbounded asynchronous channel of T.
  *
  * pop() suspends the consumer until a value is available; push() wakes

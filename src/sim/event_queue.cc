@@ -107,7 +107,7 @@ EventQueue::decode(EventId id) const
         return nullptr;
     EventNode *n = _nodes[idx].get();
     if (n->gen != gen)
-        return nullptr; // fired, cancelled, or re-armed since
+        return nullptr; // fired or cancelled since
     SIM_INVARIANT(n->state != NodeState::free,
                   "a handle can only match a pending node");
     return n;
@@ -119,30 +119,30 @@ EventQueue::entryFor(const EventNode *n) const
     return HeapEntry{n->when, n->seq, n->prio, n->gen, n->idx};
 }
 
-// ---- heaps ---------------------------------------------------------
+// ---- side heap -----------------------------------------------------
 
 void
-EventQueue::heapPush(MinHeap &h, const HeapEntry &e)
+EventQueue::heapPush(const HeapEntry &e)
 {
-    h.push_back(e);
-    std::push_heap(h.begin(), h.end(), HeapLater{});
+    _due.push_back(e);
+    std::push_heap(_due.begin(), _due.end(), HeapLater{});
 }
 
 void
-EventQueue::heapPop(MinHeap &h)
+EventQueue::heapPop()
 {
-    std::pop_heap(h.begin(), h.end(), HeapLater{});
-    h.pop_back();
+    std::pop_heap(_due.begin(), _due.end(), HeapLater{});
+    _due.pop_back();
 }
 
 void
-EventQueue::heapPrune(MinHeap &h)
+EventQueue::heapPrune()
 {
-    while (!h.empty()) {
-        const HeapEntry &e = h.front();
+    while (!_due.empty()) {
+        const HeapEntry &e = _due.front();
         if (_nodes[e.node]->gen == e.gen)
             return;
-        heapPop(h); // stale: event was cancelled or re-armed
+        heapPop(); // stale: event was cancelled
     }
 }
 
@@ -168,7 +168,7 @@ EventQueue::wheelLink(EventNode *n, int level)
 void
 EventQueue::wheelUnlink(EventNode *n)
 {
-    const int s = static_cast<int>((n->filed >> (slotBits * n->level)) &
+    const int s = static_cast<int>((n->when >> (slotBits * n->level)) &
                                    (slots - 1));
     auto &lv = _wheel[n->level];
     if (n->prev != nullptr)
@@ -191,24 +191,20 @@ void
 EventQueue::place(EventNode *n)
 {
     const Tick when = n->when;
-    if (when < _cursor) {
-        // Behind the scan position (only possible after a runUntil()
-        // peek advanced _cursor past _now): park in the early heap.
-        n->state = NodeState::early;
-        heapPush(_early, entryFor(n));
-        return;
-    }
     const auto x = static_cast<std::uint64_t>(when) ^
                    static_cast<std::uint64_t>(_cursor);
-    if ((x >> wheelHorizonBits) != 0) {
-        n->state = NodeState::far;
-        heapPush(_far, entryFor(n));
+    // Due now, behind the scan position (only possible after a
+    // runUntil() peek advanced _cursor past _now), or beyond the
+    // wheel horizon: the side heap holds it.
+    if (when == _now || when < _cursor ||
+        (x >> wheelHorizonBits) != 0) {
+        n->state = NodeState::due;
+        heapPush(entryFor(n));
         return;
     }
     // Highest differing bit picks the level (0 when x == 0: due
     // exactly at the cursor tick).
     const int level = x == 0 ? 0 : (std::bit_width(x) - 1) / slotBits;
-    n->filed = when;
     wheelLink(n, level);
 }
 
@@ -229,68 +225,38 @@ EventQueue::scanLevel(int level, int from) const
 }
 
 Tick
-EventQueue::wheelNextTick()
+EventQueue::wheelNextTick(Tick bound)
 {
     if (_wheelCount == 0)
         return noTick;
+    int level = 0;
     while (true) {
-        bool cascaded = false;
-        for (int level = 0; level < levels; ++level) {
-            const int c = static_cast<int>(
-                (_cursor >> (slotBits * level)) & (slots - 1));
-            const int s = scanLevel(level, c);
-            if (s < 0)
-                continue;
-            if (level == 0)
-                return (_cursor & ~static_cast<Tick>(slots - 1)) | s;
-
-            // Cascade: advance the cursor to the slot's window start
-            // and re-file its events one level (or more) down.  The
-            // cursor never rewinds — w >= _cursor because s is the
-            // earliest occupied slot at or after the cursor's digit.
-            const Tick windowMask =
-                (static_cast<Tick>(1) << (slotBits * (level + 1))) - 1;
-            const Tick w = (_cursor & ~windowMask) |
-                           (static_cast<Tick>(s) << (slotBits * level));
-            SIM_INVARIANT(w >= _cursor,
-                          "wheel cursor must never rewind");
-            _cursor = w;
-            auto &lv = _wheel[static_cast<std::size_t>(level)];
-            EventNode *n = lv.head[static_cast<std::size_t>(s)];
-            lv.head[static_cast<std::size_t>(s)] = nullptr;
-            lv.bitmap[static_cast<std::size_t>(s >> 6)] &=
-                ~(1ULL << (s & 63));
-            while (n != nullptr) {
-                EventNode *next = n->next;
-                n->prev = n->next = nullptr;
-                --_wheelCount;
-                // Re-place by the *current* deadline, so a lazily
-                // re-armed node lands where it now belongs.
-                place(n);
-                n = next;
-            }
-            ++_cascades;
-            cascaded = true;
-            break; // rescan from level 0
-        }
-        if (!cascaded) {
-            // A cascade can push every resident past the horizon
-            // (lazily re-armed nodes re-placed into the far heap).
-            SIM_INVARIANT(_wheelCount == 0,
+        const int c = static_cast<int>(
+            (_cursor >> (slotBits * level)) & (slots - 1));
+        const int s = scanLevel(level, c);
+        if (s < 0) {
+            ++level;
+            SIM_INVARIANT(level < levels,
                           "wheel scan must find every resident");
-            return noTick;
+            continue;
         }
-    }
-}
+        if (level == 0)
+            return (_cursor & ~static_cast<Tick>(slots - 1)) | s;
 
-void
-EventQueue::pullTick(Tick t, bool fromWheel)
-{
-    if (fromWheel) {
-        SIM_INVARIANT(t >= _cursor, "wheel next tick is >= cursor");
-        _cursor = t;
-        const int s = static_cast<int>(t & (slots - 1));
-        auto &lv = _wheel[0];
+        // Cascade: advance the cursor to the slot's window start and
+        // re-file its events one level (or more) down, then rescan
+        // from level 0.  The cursor never rewinds — w >= _cursor
+        // because s is the earliest occupied slot at or after the
+        // cursor's digit.
+        const Tick windowMask =
+            (static_cast<Tick>(1) << (slotBits * (level + 1))) - 1;
+        const Tick w = (_cursor & ~windowMask) |
+                       (static_cast<Tick>(s) << (slotBits * level));
+        SIM_INVARIANT(w >= _cursor, "wheel cursor must never rewind");
+        if (w > bound)
+            return w;
+        _cursor = w;
+        auto &lv = _wheel[static_cast<std::size_t>(level)];
         EventNode *n = lv.head[static_cast<std::size_t>(s)];
         lv.head[static_cast<std::size_t>(s)] = nullptr;
         lv.bitmap[static_cast<std::size_t>(s >> 6)] &=
@@ -299,38 +265,12 @@ EventQueue::pullTick(Tick t, bool fromWheel)
             EventNode *next = n->next;
             n->prev = n->next = nullptr;
             --_wheelCount;
-            if (n->when == t) {
-                n->state = NodeState::due;
-                heapPush(_due, entryFor(n));
-            } else {
-                // Lazily re-armed to a later tick: re-file now.
-                SIM_INVARIANT(n->when > t,
-                              "deferred node must be re-armed later");
-                place(n);
-            }
+            place(n);
             n = next;
         }
-    } else if (_wheelCount == 0 && t > _cursor) {
-        // Nothing filed: drag the cursor along so future schedules
-        // land back in the wheel instead of the far heap.
-        _cursor = t;
+        ++_cascades;
+        level = 0;
     }
-    const auto drain = [this, t](MinHeap &h) {
-        while (!h.empty()) {
-            const HeapEntry e = h.front();
-            if (_nodes[e.node]->gen != e.gen) {
-                heapPop(h); // stale
-                continue;
-            }
-            if (e.when != t)
-                break;
-            heapPop(h);
-            _nodes[e.node]->state = NodeState::due;
-            heapPush(_due, e);
-        }
-    };
-    drain(_early);
-    drain(_far);
 }
 
 // ---- scheduling API ------------------------------------------------
@@ -349,12 +289,7 @@ EventQueue::schedule(Tick when, EventFn fn, EventPriority prio)
     n->prio = static_cast<int>(prio);
     n->fn = std::move(fn);
     ++_pending;
-    if (when == _now) {
-        n->state = NodeState::due;
-        heapPush(_due, entryFor(n));
-    } else {
-        place(n);
-    }
+    place(n);
     return makeId(n);
 }
 
@@ -366,47 +301,12 @@ EventQueue::cancel(EventId id)
         return false;
     if (n->state == NodeState::wheel)
         wheelUnlink(n);
-    // Heap residents leave a stale entry behind; the generation bump
-    // below invalidates it and heapPrune()/pullTick() skip it.
+    // Side-heap residents leave a stale entry behind; the generation
+    // bump below invalidates it and heapPrune() skips it.
     bumpGen(n);
     retire(n);
     --_pending;
     return true;
-}
-
-EventId
-EventQueue::rearm(EventId id, Tick when)
-{
-    EventNode *n = decode(id);
-    if (n == nullptr)
-        return invalidEventId;
-    if (when < _now)
-        panic("EventQueue::rearm: scheduling in the past");
-
-    // Trace parity with the cancel+schedule idiom this replaces: the
-    // re-armed event consumes a fresh sequence number.
-    n->seq = _nextSeq++;
-    bumpGen(n); // the old handle (and any heap entry) goes stale
-
-    if (n->state == NodeState::wheel && when >= n->filed &&
-        when > _now) {
-        // Fast path: the node's slot comes due no later than the new
-        // deadline, so leave it filed; the slot visit re-places it.
-        n->when = when;
-        ++_lazyRearms;
-        return makeId(n);
-    }
-
-    if (n->state == NodeState::wheel)
-        wheelUnlink(n);
-    n->when = when;
-    if (when == _now) {
-        n->state = NodeState::due;
-        heapPush(_due, entryFor(n));
-    } else {
-        place(n);
-    }
-    return makeId(n);
 }
 
 bool
@@ -422,46 +322,48 @@ EventQueue::nextTick()
 {
     SIM_INVARIANT(_ready == nullptr,
                   "previous ready node must have been consumed");
-    while (true) {
-        heapPrune(_due);
-        const Tick due = _due.empty() ? noTick : _due.front().when;
-        if (due == _now)
-            return due; // same-tick chain: nothing can precede it
-        heapPrune(_early);
-        heapPrune(_far);
-        const Tick wheel = wheelNextTick();
-        const Tick early =
-            _early.empty() ? noTick : _early.front().when;
-        const Tick far = _far.empty() ? noTick : _far.front().when;
-        const Tick t =
-            std::min(std::min(due, wheel), std::min(early, far));
-        if (t == noTick)
-            return noTick;
-        if (t == wheel && due == noTick && early != t && far != t) {
-            // Direct-fire fast path: the only candidate at t is the
-            // wheel's level-0 slot.  If it holds a single node due
-            // exactly at t, skip the due-heap round trip entirely.
-            const int s = static_cast<int>(t & (slots - 1));
-            auto &lv = _wheel[0];
-            EventNode *n = lv.head[static_cast<std::size_t>(s)];
-            if (n != nullptr && n->next == nullptr && n->when == t) {
-                _cursor = t;
-                lv.head[static_cast<std::size_t>(s)] = nullptr;
-                lv.bitmap[static_cast<std::size_t>(s >> 6)] &=
-                    ~(1ULL << (s & 63));
-                --_wheelCount;
-                n->prev = nullptr;
-                n->state = NodeState::due;
-                _ready = n;
-                return t;
-            }
+    heapPrune();
+    const Tick due = _due.empty() ? noTick : _due.front().when;
+    if (due == _now)
+        return due; // same-tick chain: nothing can precede it
+    const Tick wheel = wheelNextTick(due);
+    if (due < wheel) {
+        if (_wheelCount == 0 && due > _cursor) {
+            // Nothing filed: drag the cursor along so future
+            // schedules land back in the wheel, not the side heap.
+            _cursor = due;
         }
-        pullTick(t, wheel == t);
-        heapPrune(_due);
-        if (!_due.empty() && _due.front().when == t)
-            return t;
-        // The pulled slot held only deferred re-arms; scan again.
+        return due;
     }
+    if (wheel == noTick)
+        return noTick;
+
+    // Take the wheel's level-0 slot for this tick.
+    _cursor = wheel;
+    const int s = static_cast<int>(wheel & (slots - 1));
+    auto &lv = _wheel[0];
+    EventNode *n = lv.head[static_cast<std::size_t>(s)];
+    lv.head[static_cast<std::size_t>(s)] = nullptr;
+    lv.bitmap[static_cast<std::size_t>(s >> 6)] &= ~(1ULL << (s & 63));
+    if (due != wheel && n->next == nullptr) {
+        // Direct-fire fast path: the only event at this tick is a
+        // single wheel node, so skip the side-heap round trip.
+        SIM_INVARIANT(n->when == wheel, "a level-0 slot holds one tick");
+        --_wheelCount;
+        n->state = NodeState::due;
+        _ready = n;
+        return wheel;
+    }
+    while (n != nullptr) {
+        EventNode *next = n->next;
+        n->prev = n->next = nullptr;
+        --_wheelCount;
+        SIM_INVARIANT(n->when == wheel, "a level-0 slot holds one tick");
+        n->state = NodeState::due;
+        heapPush(entryFor(n));
+        n = next;
+    }
+    return wheel;
 }
 
 void
@@ -496,7 +398,7 @@ EventQueue::fireTop()
         return;
     }
     const HeapEntry e = _due.front();
-    heapPop(_due);
+    heapPop();
     EventNode *n = _nodes[e.node].get();
     SIM_INVARIANT(n->gen == e.gen, "fired entry must be fresh");
     fireNode(n, e.when, e.prio, e.seq);
@@ -516,7 +418,7 @@ EventQueue::fireThrough(Tick until, std::uint64_t limit, Tick &next)
     if (_ready != nullptr) {
         // Unfired peek: put the direct-fire candidate back (it
         // already counts as due; see nextTick()).
-        heapPush(_due, entryFor(_ready));
+        heapPush(entryFor(_ready));
         _ready = nullptr;
     }
     return n;

@@ -6,7 +6,7 @@
  * is an event on a single queue.  Events fire in (tick, priority,
  * sequence) order, so two runs with the same seed produce identical
  * traces.  Events may be cancelled (used heavily by retransmission
- * timers in the transport layer) or re-armed to a later tick.
+ * timers in the transport layer, which re-arm by cancel + schedule).
  *
  * Representation (the PR-5 engine overhaul; DESIGN.md "Engine"):
  *
@@ -16,14 +16,14 @@
  *    EventNodes, with one occupancy bitmap word set per 64 slots, so
  *    schedule() and cancel() are O(1) and finding the next event is
  *    a handful of bitmap scans.
- *  - Events beyond the wheel horizon wait in a far-future heap;
- *    events scheduled into a gap the wheel cursor has already passed
- *    (possible only after a runUntil() peek) wait in a tiny "early"
- *    heap.  Both are ordered by (tick, priority, sequence).
- *  - All events due at the current tick sit in a small "due" heap
- *    ordered by (priority, sequence) — same-tick scheduling during
- *    execution interleaves exactly as the seed engine's single heap
- *    did.
+ *  - Every event the wheel does not hold waits in one side heap
+ *    ordered by (tick, priority, sequence): events due at the current
+ *    tick (so same-tick scheduling during execution interleaves
+ *    exactly as the seed engine's single heap did), events scheduled
+ *    into a gap the wheel cursor has already passed (possible only
+ *    after a runUntil() peek), and events beyond the wheel horizon.
+ *    The heap's front against the wheel's next tick is the global
+ *    minimum.
  *  - EventIds are generation-tagged handles (generation in the high
  *    32 bits, pool index in the low 32), so cancel()/pending() are
  *    O(1) pointer probes with no side hash set, and a recycled node
@@ -61,8 +61,8 @@ inline int liveEventQueues = 0;
 } // namespace detail
 
 /**
- * Opaque handle identifying a scheduled event, usable for cancel(),
- * pending() and rearm().  Internally (generation << 32 | pool index);
+ * Opaque handle identifying a scheduled event, usable for cancel()
+ * and pending().  Internally (generation << 32 | pool index);
  * treat as opaque.
  */
 using EventId = std::uint64_t;
@@ -114,7 +114,7 @@ class EventQueue
      * @param fn Callback to invoke; captures up to EventFn::sboBytes
      *        are stored inline in the pooled event node.
      * @param prio Same-tick ordering class.
-     * @return Handle usable with cancel()/rearm().
+     * @return Handle usable with cancel()/pending().
      */
     EventId schedule(Tick when, EventFn fn,
                      EventPriority prio = EventPriority::normal);
@@ -143,37 +143,15 @@ class EventQueue
 
     /**
      * Cancel a pending event.  O(1): the node is unlinked from its
-     * wheel slot (or its heap entry is invalidated by a generation
-     * bump) and recycled immediately.
+     * wheel slot (or its side-heap entry is invalidated by a
+     * generation bump) and recycled immediately, so a schedule()
+     * straight after reuses it.
      *
      * @return true if the event was pending and is now cancelled;
      *         false if it already fired, was already cancelled, or the
      *         id is invalid.
      */
     bool cancel(EventId id);
-
-    /**
-     * Re-arm a pending event to fire at absolute tick @p when,
-     * keeping its callback and priority.  Trace-equivalent to
-     * cancel(id) + schedule(when, <same fn>, <same prio>) — including
-     * consuming a fresh sequence number — but without re-filing the
-     * node when the new deadline is later than the currently filed
-     * one: the node stays in its wheel slot and is lazily moved when
-     * that slot comes due.  This is the retransmission-timer fast
-     * path: a timer re-armed on every ack touches the wheel only in
-     * the rare case its old deadline is actually reached.
-     *
-     * @return The replacement handle (the old one is dead), or
-     *         invalidEventId if @p id was not pending.
-     */
-    EventId rearm(EventId id, Tick when);
-
-    /** Re-arm @p id to @p delay ticks from now; see rearm(). */
-    EventId
-    rearmIn(EventId id, Tick delay)
-    {
-        return rearm(id, _now + delay);
-    }
 
     /** True if @p id refers to an event that has not yet fired. */
     bool pending(EventId id) const;
@@ -223,16 +201,13 @@ class EventQueue
     /** Event nodes currently allocated to the pool. */
     std::size_t poolSize() const { return _nodes.size(); }
 
-    /** Re-arms that took the lazy no-refile fast path. */
-    std::uint64_t lazyRearmCount() const { return _lazyRearms; }
-
     /** Wheel→wheel cascades performed while locating next events. */
     std::uint64_t cascadeCount() const { return _cascades; }
 
   private:
     // One level-0 slot per tick; 256 slots per level; four levels
-    // cover ticks [cursor, cursor + 2^32) — about 4.3 simulated
-    // seconds ahead — before the far-future heap takes over.
+    // cover the cursor's aligned 2^32-tick window (about 4.3
+    // simulated seconds); a later event waits in the side heap.
     static constexpr int slotBits = 8;
     static constexpr int slots = 1 << slotBits;
     static constexpr int levels = 4;
@@ -243,16 +218,12 @@ class EventQueue
     enum class NodeState : std::uint8_t {
         free,
         wheel, ///< linked into a wheel slot
-        due,   ///< in the current-tick due heap
-        early, ///< in the early heap (behind the wheel cursor)
-        far,   ///< in the far-future heap (beyond the wheel horizon)
+        due,   ///< in the side heap (_due)
     };
 
     /** A pooled, intrusively linked event. */
     struct EventNode {
-        Tick when = 0;  ///< deadline (may differ from filed slot
-                        ///< after a lazy re-arm)
-        Tick filed = 0; ///< tick this node's wheel slot represents
+        Tick when = 0; ///< deadline
         std::uint64_t seq = 0; ///< firing-order sequence number
         EventNode *prev = nullptr;
         EventNode *next = nullptr; ///< also the freelist link
@@ -290,8 +261,6 @@ class EventQueue
         std::array<std::uint64_t, bitmapWords> bitmap{};
     };
 
-    using MinHeap = std::vector<HeapEntry>;
-
     EventNode *allocNode();
     /** Bump @p n's generation (old handles/heap entries go stale). */
     static void bumpGen(EventNode *n);
@@ -301,7 +270,8 @@ class EventQueue
     static EventId makeId(const EventNode *n);
     HeapEntry entryFor(const EventNode *n) const;
 
-    /** File a node (when > now) into wheel, early or far storage. */
+    /** File a node into the wheel, or into the side heap when it is
+     *  due now, behind the cursor or beyond the horizon. */
     void place(EventNode *n);
     void wheelLink(EventNode *n, int level);
     void wheelUnlink(EventNode *n);
@@ -312,21 +282,23 @@ class EventQueue
     /**
      * Tick of the earliest wheel event, cascading higher-level slots
      * down as needed (moves _cursor forward).  maxTick when empty.
+     * A cascade whose window starts after @p bound (the side heap's
+     * next tick) is not made: the start is returned instead, a lower
+     * bound on the wheel's next tick.  So the cursor never passes a
+     * side-heap event, and events scheduled while it fires still go
+     * into the wheel.
      */
-    Tick wheelNextTick();
-
-    /** Move every event due at @p t into the due heap.  @p fromWheel
-     *  says the wheel's next tick is @p t, so its slot is drained. */
-    void pullTick(Tick t, bool fromWheel);
+    Tick wheelNextTick(Tick bound);
 
     /**
-     * Tick of the next live event anywhere (pulled into the due heap
-     * as a side effect), or maxTick.  After a non-maxTick return the
-     * due heap's top is the fresh minimal event.
+     * Tick of the next live event anywhere, or maxTick.  After a
+     * non-maxTick return either _ready holds the minimal event or the
+     * side heap's front is it (the wheel slot for that tick is moved
+     * there as a side effect).
      */
     Tick nextTick();
 
-    /** Execute the due heap's top (which nextTick() made fresh). */
+    /** Execute the minimal event that nextTick() located. */
     void fireTop();
 
     /** Recycle @p n and invoke its callback (the fire hot path). */
@@ -346,10 +318,10 @@ class EventQueue
     /** Fold @p v into the event-trace fingerprint (FNV-1a). */
     void mixFingerprint(std::uint64_t v);
 
-    void heapPush(MinHeap &h, const HeapEntry &e);
-    void heapPop(MinHeap &h);
-    /** Drop stale (cancelled / re-armed) entries off the top. */
-    void heapPrune(MinHeap &h);
+    void heapPush(const HeapEntry &e);
+    void heapPop();
+    /** Drop stale (cancelled) entries off the side heap's top. */
+    void heapPrune();
 
     Tick _now = 0;
     /** Wheel scan position; never rewinds, always <= next wheel
@@ -359,19 +331,17 @@ class EventQueue
     std::uint64_t _executed = 0;
     std::uint64_t _fingerprint = 0xcbf29ce484222325ULL; // FNV offset
     std::size_t _pending = 0;
-    std::uint64_t _lazyRearms = 0;
     std::uint64_t _cascades = 0;
 
     std::array<WheelLevel, levels> _wheel;
     std::size_t _wheelCount = 0;
     /** Direct-fire fast path: when the next tick's sole candidate is
      *  a single wheel node, nextTick() parks it here and fireTop()
-     *  fires it without a due-heap round trip.  Consumed by
+     *  fires it without a side-heap round trip.  Consumed by
      *  fireTop(); fireThrough() re-files it when it stops on a peek. */
     EventNode *_ready = nullptr;
-    MinHeap _due;   ///< events at the tick being executed
-    MinHeap _early; ///< events behind _cursor (rare; see _cursor)
-    MinHeap _far;   ///< events beyond the wheel horizon
+    /** Side heap: every pending event the wheel does not hold. */
+    std::vector<HeapEntry> _due;
 
     std::vector<std::unique_ptr<EventNode>> _nodes;
     EventNode *_freelist = nullptr;

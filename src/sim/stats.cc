@@ -15,36 +15,6 @@ copyStats()
     return stats;
 }
 
-void
-SampleStats::record(double x)
-{
-    ++n;
-    _sum += x;
-    if (n == 1) {
-        _min = _max = x;
-    } else {
-        _min = std::min(_min, x);
-        _max = std::max(_max, x);
-    }
-    double delta = x - _mean;
-    _mean += delta / static_cast<double>(n);
-    m2 += delta * (x - _mean);
-}
-
-double
-SampleStats::variance() const
-{
-    if (n < 2)
-        return 0.0;
-    return m2 / static_cast<double>(n);
-}
-
-double
-SampleStats::stddev() const
-{
-    return std::sqrt(variance());
-}
-
 Histogram::Histogram(int sigBits) : sig(sigBits)
 {
     if (sigBits < 0 || sigBits > 16)
@@ -167,28 +137,6 @@ Histogram::reset()
     buckets.clear();
     n = nUnder = nOver = 0;
     _min = _max = _sum = 0.0;
-}
-
-void
-StatRegistry::dump(std::ostream &os) const
-{
-    for (const auto &[name, c] : counters)
-        os << name << " " << c.value() << "\n";
-    for (const auto &[name, s] : stats) {
-        os << name << ".count " << s.count() << "\n";
-        os << name << ".mean " << s.mean() << "\n";
-        os << name << ".min " << s.min() << "\n";
-        os << name << ".max " << s.max() << "\n";
-    }
-}
-
-void
-StatRegistry::reset()
-{
-    for (auto &[name, c] : counters)
-        c.reset();
-    for (auto &[name, s] : stats)
-        s.reset();
 }
 
 } // namespace nectar::sim

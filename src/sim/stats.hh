@@ -1,6 +1,6 @@
 /**
  * @file
- * Statistics collection: counters, sample statistics, histograms.
+ * Statistics collection: counters, histograms, utilization.
  *
  * These mirror what the Nectar prototype's instrumentation board
  * (Section 4.1) records in hardware: event counts and latency
@@ -11,9 +11,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "types.hh"
@@ -33,36 +30,6 @@ class Counter
 
   private:
     std::uint64_t _value = 0;
-};
-
-/**
- * Running sample statistics (count/mean/min/max/stddev) using
- * Welford's online algorithm; O(1) memory.
- */
-class SampleStats
-{
-  public:
-    /** Record one sample. */
-    void record(double x);
-
-    std::uint64_t count() const { return n; }
-    double mean() const { return n ? _mean : 0.0; }
-    double min() const { return n ? _min : 0.0; }
-    double max() const { return n ? _max : 0.0; }
-    /** Population variance. */
-    double variance() const;
-    double stddev() const;
-    double sum() const { return _sum; }
-
-    void reset() { *this = SampleStats(); }
-
-  private:
-    std::uint64_t n = 0;
-    double _mean = 0.0;
-    double m2 = 0.0;
-    double _min = 0.0;
-    double _max = 0.0;
-    double _sum = 0.0;
 };
 
 /**
@@ -225,27 +192,5 @@ accountAlloc()
 {
     copyStats().bufferAllocs += 1;
 }
-
-/**
- * A named registry of statistics, dumpable as a table; the software
- * analogue of reading out the instrumentation board.
- */
-class StatRegistry
-{
-  public:
-    /** Register (or fetch) a named counter. */
-    Counter &counter(const std::string &name) { return counters[name]; }
-    /** Register (or fetch) named sample statistics. */
-    SampleStats &samples(const std::string &name) { return stats[name]; }
-
-    /** Write all statistics as "name value" lines. */
-    void dump(std::ostream &os) const;
-
-    void reset();
-
-  private:
-    std::map<std::string, Counter> counters;
-    std::map<std::string, SampleStats> stats;
-};
 
 } // namespace nectar::sim

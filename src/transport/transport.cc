@@ -121,20 +121,6 @@ Transport::senderFlow(CabAddress peer, std::uint16_t mb)
     return *it->second;
 }
 
-namespace {
-
-/** Parks the coroutine on a flow's waiter list. */
-struct FlowWait
-{
-    std::vector<std::coroutine_handle<>> &list;
-
-    bool await_ready() const { return false; }
-    void await_suspend(std::coroutine_handle<> h) { list.push_back(h); }
-    void await_resume() const {}
-};
-
-} // namespace
-
 void
 Transport::wakeFlow(SenderFlow &flow)
 {
@@ -161,17 +147,13 @@ Transport::armTimer(CabAddress peer, std::uint16_t mb, SenderFlow &flow)
     if (flow.rto == 0)
         flow.rto = cfg.retransmitTimeout;
     Tick rto = cfg.adaptiveRto ? flow.rto : cfg.retransmitTimeout;
-    // Re-arm in place: on the ack-advances-window path the engine
-    // just slides the deadline (no unlink/refile) instead of the
-    // cancel+set churn this code used to do.
-    flow.timer = timers.rearm(flow.timer, rto,
-                              [this, peer, mb] { onTimeout(peer, mb); });
+    timers.cancel(flow.timer);
+    flow.timer = timers.set(rto, [this, peer, mb] { onTimeout(peer, mb); });
 }
 
 void
 Transport::rttSample(SenderFlow &flow, Tick sample)
 {
-    _stats.rttSampleNs.record(static_cast<double>(sample));
     if (!flow.haveSrtt) {
         // First measurement (RFC 6298): SRTT = R, RTTVAR = R/2.
         flow.srtt = static_cast<double>(sample);
@@ -280,7 +262,7 @@ Transport::sendReliable(CabAddress dst, std::uint16_t dstMailbox,
         // Sliding window: at most windowPackets outstanding.
         while (!flow.failed &&
                flow.nextSeq - flow.base >= cfg.windowPackets)
-            co_await FlowWait{flow.waiters};
+            co_await sim::ParkOn{flow.waiters};
         if (flow.failed)
             break;
 
@@ -310,7 +292,7 @@ Transport::sendReliable(CabAddress dst, std::uint16_t dstMailbox,
 
     // Wait until everything is acknowledged (or the flow failed).
     while (!flow.failed && flow.base != flow.nextSeq)
-        co_await FlowWait{flow.waiters};
+        co_await sim::ParkOn{flow.waiters};
 
     bool ok = !flow.failed;
     if (ok && flow.hadTimeout)

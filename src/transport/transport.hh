@@ -128,9 +128,8 @@ struct TransportStats
                                     ///< common sequence origin.
     sim::Counter mcastMemberFailures; ///< Members a multicast send
                                       ///< gave up on.
-    sim::SampleStats rttSampleNs; ///< Accepted RTT samples (ticks).
-    sim::Histogram recoveryNs;    ///< First-timeout-to-recovery times
-                                  ///< of stalled flows (ticks).
+    sim::Histogram recoveryNs; ///< First-timeout-to-recovery times
+                               ///< of stalled flows (ticks).
     double lastSrtt = 0;          ///< Most recent flow SRTT (ticks).
     double lastRttvar = 0;        ///< Most recent flow RTTVAR (ticks).
     Tick lastRto = 0;             ///< Most recent computed RTO.

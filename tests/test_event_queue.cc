@@ -8,6 +8,7 @@
 
 #include <array>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -213,93 +214,7 @@ TEST(EventQueue, DeterministicInterleavingAcrossRuns)
     EXPECT_EQ(trace(), trace());
 }
 
-// ---- re-arm (the retransmission-timer fast path) -------------------
-
-TEST(EventQueue, RearmToLaterFiresAtNewDeadlineOnly)
-{
-    EventQueue eq;
-    std::vector<Tick> fired;
-    EventId id = eq.schedule(100 * ticks::ns,
-                             [&] { fired.push_back(eq.now()); });
-    EventId fresh = eq.rearm(id, 250 * ticks::ns);
-    ASSERT_NE(fresh, invalidEventId);
-    EXPECT_FALSE(eq.pending(id)); // old handle is dead
-    EXPECT_TRUE(eq.pending(fresh));
-    eq.run();
-    EXPECT_EQ(fired, (std::vector<Tick>{250}));
-}
-
-TEST(EventQueue, RearmToLaterTakesLazyFastPath)
-{
-    EventQueue eq;
-    int count = 0;
-    EventId id = eq.schedule(2000 * ticks::ns, [&] { ++count; });
-    // Each re-arm pushes the deadline out without re-filing the node:
-    // this is the path a timer re-armed on every ack exercises.
-    for (int i = 1; i <= 10; ++i)
-        id = eq.rearm(id, (2000 + i) * ticks::ns);
-    EXPECT_EQ(eq.lazyRearmCount(), 10u);
-    EXPECT_EQ(eq.pendingCount(), 1u);
-    eq.run();
-    EXPECT_EQ(count, 1);
-    EXPECT_EQ(eq.now(), 2010);
-}
-
-TEST(EventQueue, RearmToEarlierFiresEarlier)
-{
-    EventQueue eq;
-    std::vector<Tick> fired;
-    EventId id = eq.schedule(1000 * ticks::ns,
-                             [&] { fired.push_back(eq.now()); });
-    eq.rearm(id, 50 * ticks::ns);
-    eq.run();
-    EXPECT_EQ(fired, (std::vector<Tick>{50}));
-}
-
-TEST(EventQueue, RearmDeadHandleReturnsInvalid)
-{
-    EventQueue eq;
-    EventId fired_id = eq.schedule(10 * ticks::ns, [] {});
-    eq.run();
-    EXPECT_EQ(eq.rearm(fired_id, 20 * ticks::ns), invalidEventId);
-
-    EventId cancelled = eq.schedule(30 * ticks::ns, [] {});
-    eq.cancel(cancelled);
-    EXPECT_EQ(eq.rearmIn(cancelled, 10 * ticks::ns), invalidEventId);
-    EXPECT_EQ(eq.rearm(invalidEventId, 40 * ticks::ns),
-              invalidEventId);
-}
-
-TEST(EventQueue, RearmTraceMatchesCancelPlusSchedule)
-{
-    // rearm() must consume a sequence number exactly like the seed
-    // idiom it replaces, so the event-trace fingerprint is unchanged
-    // whichever idiom a component uses.
-    auto viaRearm = [] {
-        EventQueue eq;
-        eq.schedule(5 * ticks::ns, [] {});
-        EventId t = eq.schedule(100 * ticks::ns, [] {},
-                                EventPriority::software);
-        t = eq.rearm(t, 200 * ticks::ns);
-        eq.schedule(7 * ticks::ns, [] {});
-        eq.run();
-        return eq.fingerprint();
-    };
-    auto viaCancel = [] {
-        EventQueue eq;
-        eq.schedule(5 * ticks::ns, [] {});
-        EventId t = eq.schedule(100 * ticks::ns, [] {},
-                                EventPriority::software);
-        eq.cancel(t);
-        eq.schedule(200 * ticks::ns, [] {}, EventPriority::software);
-        eq.schedule(7 * ticks::ns, [] {});
-        eq.run();
-        return eq.fingerprint();
-    };
-    EXPECT_EQ(viaRearm(), viaCancel());
-}
-
-// ---- wheel geometry: level boundaries, cascades, far heap ----------
+// ---- wheel geometry: level boundaries, cascades, side heap ---------
 
 TEST(EventQueue, FiresAcrossWheelLevelBoundaries)
 {
@@ -307,7 +222,7 @@ TEST(EventQueue, FiresAcrossWheelLevelBoundaries)
     std::vector<Tick> fired;
     // Straddle every level boundary plus the wheel horizon: level 0
     // covers [0, 256), level 1 [256, 65536), level 2 [65536, 2^24),
-    // level 3 [2^24, 2^32), and beyond 2^32 lives in the far heap.
+    // level 3 [2^24, 2^32), and beyond 2^32 lives in the side heap.
     const std::vector<Tick> when = {
         255,
         256,
@@ -354,10 +269,84 @@ TEST(EventQueue, ScheduleIntoGapBehindCursorStillFires)
     eq.runUntil(5);
     EXPECT_EQ(eq.now(), 5);
     // Tick 100 is now behind the cursor but ahead of now(): the
-    // early heap must catch it and fire it first.
+    // side heap must catch it and fire it first.
     eq.schedule(100 * ticks::ns, [&] { fired.push_back(eq.now()); });
     eq.run();
     EXPECT_EQ(fired, (std::vector<Tick>{100, 300}));
+}
+
+TEST(EventQueue, SideHeapAndWheelShareOneTickOrder)
+{
+    // Every way an event reaches the side heap meets wheel-filed and
+    // same-tick events at a shared tick, and the merge must follow
+    // (priority, sequence).  The wheel cursor never passes a pending
+    // event, wheel-filed or far, so an event scheduled behind the
+    // cursor cannot share a tick with either: it meets the same-tick
+    // case at a second tick U instead.
+    EventQueue eq;
+    std::vector<const char *> fired;
+    const auto rec = [&](const char *name) {
+        return [&fired, name] { fired.push_back(name); };
+    };
+    constexpr Tick base = Tick{1} << 32;
+    constexpr Tick t = base + 1000;
+    constexpr Tick u = base + 3000;
+
+    // Beyond the wheel horizon when scheduled at tick 0.
+    eq.schedule(t, rec("far@T"), EventPriority::software);
+    eq.schedule(base, [&] {
+        // The cursor is now in the far event's wheel window.
+        eq.schedule(t, rec("wheel@T/soft"), EventPriority::software);
+        eq.schedule(t, [&] {
+            fired.push_back("wheel@T/hw");
+            eq.scheduleAtFront(rec("same@T/front"));
+            eq.schedule(t, rec("same@T/last"), EventPriority::last);
+        }, EventPriority::hardware);
+        // Holds the wheel past U, so a peek cascades the cursor there.
+        eq.schedule(base + 5000, rec("wheel@V"));
+    });
+
+    eq.runUntil(base + 2000);
+    ASSERT_EQ(eq.now(), base + 2000);
+    // Behind the cursor after that peek, ahead of now().
+    eq.schedule(u, [&] {
+        fired.push_back("behind@U");
+        eq.schedule(u, rec("same@U/stats"), EventPriority::stats);
+    });
+    eq.schedule(u, rec("behind@U/first"), EventPriority::first);
+    eq.run();
+
+    const std::vector<std::string> expect = {
+        "wheel@T/hw",     "same@T/front", "far@T",
+        "wheel@T/soft",   "same@T/last",  "behind@U/first",
+        "behind@U",       "same@U/stats", "wheel@V",
+    };
+    EXPECT_EQ(std::vector<std::string>(fired.begin(), fired.end()),
+              expect);
+}
+
+TEST(EventQueue, SideHeapEventBeforeCascadeWindowFiresFirst)
+{
+    // Two far events close together cross a 2^32 boundary; the first
+    // files a deadline two wheel levels out.  Locating the second
+    // must not cascade that slot (its window starts past the side
+    // heap's front), and what the second schedules still fires in
+    // order ahead of the cascaded event.
+    EventQueue eq;
+    std::vector<Tick> fired;
+    const auto rec = [&] { fired.push_back(eq.now()); };
+    constexpr Tick base = Tick{1} << 32;
+    eq.schedule(base + 1000, [&] {
+        rec();
+        eq.scheduleIn(70000 * ticks::ns, rec);
+    });
+    eq.schedule(base + 1100, [&] {
+        rec();
+        eq.scheduleIn(100 * ticks::ns, rec);
+    });
+    eq.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{base + 1000, base + 1100,
+                                        base + 1200, base + 71000}));
 }
 
 // ---- node pool and generation-tagged handles -----------------------

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -25,48 +24,6 @@ TEST(Counter, StartsAtZeroAndAccumulates)
     EXPECT_EQ(c.value(), 10u);
     c.reset();
     EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(SampleStats, EmptyIsZero)
-{
-    SampleStats s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(SampleStats, SingleSample)
-{
-    SampleStats s;
-    s.record(42.0);
-    EXPECT_EQ(s.count(), 1u);
-    EXPECT_EQ(s.mean(), 42.0);
-    EXPECT_EQ(s.min(), 42.0);
-    EXPECT_EQ(s.max(), 42.0);
-    EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(SampleStats, KnownMoments)
-{
-    SampleStats s;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.record(x);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 4.0);
-    EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-    EXPECT_EQ(s.min(), 2.0);
-    EXPECT_EQ(s.max(), 9.0);
-    EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(SampleStats, NegativeValuesTrackMin)
-{
-    SampleStats s;
-    s.record(-5.0);
-    s.record(3.0);
-    EXPECT_EQ(s.min(), -5.0);
-    EXPECT_EQ(s.max(), 3.0);
 }
 
 TEST(Histogram, PercentilesNearestRank)
@@ -237,27 +194,4 @@ TEST(UtilizationStat, FractionOfWindow)
     u.addBusy(250);
     EXPECT_DOUBLE_EQ(u.utilization(0, 1000), 0.5);
     EXPECT_DOUBLE_EQ(u.utilization(0, 0), 0.0);
-}
-
-TEST(StatRegistry, DumpsNamedStats)
-{
-    StatRegistry reg;
-    reg.counter("hub.opens").add(3);
-    reg.samples("latency").record(10.0);
-    reg.samples("latency").record(20.0);
-
-    std::ostringstream os;
-    reg.dump(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("hub.opens 3"), std::string::npos);
-    EXPECT_NE(out.find("latency.count 2"), std::string::npos);
-    EXPECT_NE(out.find("latency.mean 15"), std::string::npos);
-}
-
-TEST(StatRegistry, ResetClearsValuesButKeepsNames)
-{
-    StatRegistry reg;
-    reg.counter("x").add(5);
-    reg.reset();
-    EXPECT_EQ(reg.counter("x").value(), 0u);
 }
