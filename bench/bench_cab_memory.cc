@@ -9,7 +9,7 @@
  *
  * Method: drive all four access streams at full rate simultaneously
  * (fiber out 12.5 MB/s, fiber in 12.5 MB/s, VME 10 MB/s, plus a CPU
- * copy workload) and show the aggregate demand stays under 66 MB/s.
+ * write workload) and show the aggregate demand stays under 66 MB/s.
  */
 
 #include <benchmark/benchmark.h>
@@ -33,7 +33,7 @@ E8_ConcurrentAccessDemand(benchmark::State &state)
         auto sys = NectarSystem::singleHub(eq, 3);
         // Site 0 is the board under test: it streams out to site 1,
         // receives a stream from site 2, serves VME traffic, and runs
-        // a CPU copy workload, all concurrently.
+        // a CPU write workload, all concurrently.
         for (int i = 0; i < 3; ++i) {
             sys->site(i).datalink->rxHandler =
                 [](sim::PacketView &&, bool) {};
@@ -68,14 +68,13 @@ E8_ConcurrentAccessDemand(benchmark::State &state)
             }
         }(eq, host, sys->site(0).board->memory(), duration));
 
-        // CPU copies (protocol bookkeeping touching data memory).
+        // CPU writes (protocol bookkeeping touching data memory).
         sim::spawn([](sim::EventQueue &eq, cab::Cab &board,
                       Tick until) -> Task<void> {
-            std::vector<std::uint8_t> buf(256, 0);
             while (eq.now() < until) {
-                board.memory().write(cab::kernelDomain,
-                                     cab::addrmap::dataRamBase,
-                                     buf.data(), 256);
+                board.memory().access(cab::kernelDomain,
+                                      cab::addrmap::dataRamBase, 256,
+                                      cab::permWrite, cab::Accessor::cpu);
                 co_await sim::Delay{eq, 100 * us};
             }
         }(eq, *sys->site(0).board, duration));

@@ -1,17 +1,6 @@
 #include "memory.hh"
 
-#include <cstring>
-
-#include "sim/logging.hh"
-
 namespace nectar::cab {
-
-CabMemory::CabMemory()
-    : prom(addrmap::promSize, 0),
-      programRam(addrmap::programRamSize, 0),
-      dataRam(addrmap::dataRamSize, 0), prot(addrmap::spaceSize)
-{
-}
 
 bool
 CabMemory::mapped(std::uint32_t addr, std::uint32_t len) const
@@ -28,71 +17,22 @@ CabMemory::mapped(std::uint32_t addr, std::uint32_t len) const
            inside(addrmap::dataRamBase, addrmap::dataRamSize);
 }
 
-std::uint8_t *
-CabMemory::backing(std::uint32_t addr, std::uint32_t len)
-{
-    auto inside = [&](std::uint32_t base, std::uint32_t size) {
-        return addr >= base && addr + len <= base + size;
-    };
-    if (inside(addrmap::promBase, addrmap::promSize))
-        return prom.data() + (addr - addrmap::promBase);
-    if (inside(addrmap::programRamBase, addrmap::programRamSize))
-        return programRam.data() + (addr - addrmap::programRamBase);
-    if (inside(addrmap::dataRamBase, addrmap::dataRamSize))
-        return dataRam.data() + (addr - addrmap::dataRamBase);
-    return nullptr;
-}
-
 bool
-CabMemory::read(Domain domain, std::uint32_t addr, std::uint8_t *out,
-                std::uint32_t len, Accessor by)
+CabMemory::access(Domain domain, std::uint32_t addr, std::uint32_t len,
+                  Perm need, Accessor by)
 {
-    if (!mapped(addr, len)) {
-        _busErrors.add();
-        return false;
-    }
-    if (!prot.check(domain, addr, len, permRead))
-        return false;
-    // nectar-lint: copy-ok memory-array hardware model; bytes
-    // charged per accessor via byteCounts, not packet payload
-    std::memcpy(out, backing(addr, len), len);
-    byteCounts[static_cast<int>(by)].add(len);
-    return true;
-}
-
-bool
-CabMemory::write(Domain domain, std::uint32_t addr,
-                 const std::uint8_t *src, std::uint32_t len,
-                 Accessor by)
-{
-    if (!mapped(addr, len)) {
-        _busErrors.add();
-        return false;
-    }
     // PROM is immutable after factory programming, regardless of the
     // protection tables.
-    if (addr < addrmap::promBase + addrmap::promSize) {
+    const bool promWrite = (need & permWrite) &&
+                           addr < addrmap::promBase + addrmap::promSize;
+    if (!mapped(addr, len) || promWrite) {
         _busErrors.add();
         return false;
     }
-    if (!prot.check(domain, addr, len, permWrite))
+    if (!prot.check(domain, addr, len, need))
         return false;
-    // nectar-lint: copy-ok memory-array hardware model; bytes
-    // charged per accessor via byteCounts, not packet payload
-    std::memcpy(backing(addr, len), src, len);
     byteCounts[static_cast<int>(by)].add(len);
     return true;
-}
-
-void
-CabMemory::loadProm(std::uint32_t offset,
-                    const std::vector<std::uint8_t> &image)
-{
-    if (offset + image.size() > addrmap::promSize)
-        sim::fatal("CabMemory::loadProm: image does not fit");
-    // nectar-lint: copy-ok factory PROM programming at build
-    // time, not packet payload
-    std::memcpy(prom.data() + offset, image.data(), image.size());
 }
 
 std::uint64_t

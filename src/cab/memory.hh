@@ -1,7 +1,7 @@
 /**
  * @file
- * CAB on-board memory: program and data regions, protection checks,
- * bandwidth accounting.
+ * CAB on-board memory: the address map of the program and data
+ * regions, protection checks, bandwidth accounting.
  *
  * Section 5.2: "The on-board CAB memory is split into two regions:
  * one intended for use as program memory, the other as data memory.
@@ -13,14 +13,15 @@
  * accesses: CPU reads or writes, DMA to the outgoing fiber, DMA from
  * the incoming fiber, and DMA to or from VME memory."
  *
- * Every access is checked against the protection tables; transfers
- * are accounted so benches can verify the 66 MB/s sufficiency claim.
+ * The simulator moves payloads as shared PacketViews, so the model
+ * stores no bytes: it keeps the address map, checks every access
+ * against it and the protection tables, and accounts transfers per
+ * accessor so benches can verify the 66 MB/s sufficiency claim.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "cab/protection.hh"
 #include "sim/stats.hh"
@@ -45,33 +46,26 @@ constexpr std::uint32_t spaceSize = 0x200000;
 enum class Accessor { cpu, fiberOutDma, fiberInDma, vmeDma };
 
 /**
- * The CAB's on-board memory with protection and accounting.
+ * The CAB's on-board memory: address map, protection and accounting.
  */
 class CabMemory
 {
   public:
-    CabMemory();
+    CabMemory() : prot(addrmap::spaceSize) {}
 
     MemoryProtection &protection() { return prot; }
     const MemoryProtection &protection() const { return prot; }
 
     /**
-     * Read [addr, addr+len) into @p out.
+     * Check one access of [addr, addr+len) by @p domain needing
+     * @p need, and charge its bytes to @p by.  An unmapped range or
+     * any write into PROM is a bus error; then the protection tables
+     * decide.
      *
-     * @return false on a protection violation or unmapped address
-     *         (the access does not happen).
+     * @return false when the access is rejected (nothing is charged).
      */
-    bool read(Domain domain, std::uint32_t addr, std::uint8_t *out,
-              std::uint32_t len, Accessor by = Accessor::cpu);
-
-    /** Write @p len bytes at @p addr.  PROM rejects all writes. */
-    bool write(Domain domain, std::uint32_t addr,
-               const std::uint8_t *src, std::uint32_t len,
-               Accessor by = Accessor::cpu);
-
-    /** Factory-program the PROM (bypasses protection; boot only). */
-    void loadProm(std::uint32_t offset,
-                  const std::vector<std::uint8_t> &image);
+    bool access(Domain domain, std::uint32_t addr, std::uint32_t len,
+                Perm need, Accessor by = Accessor::cpu);
 
     /** True if [addr, addr+len) lies inside a mapped region. */
     bool mapped(std::uint32_t addr, std::uint32_t len) const;
@@ -94,8 +88,8 @@ class CabMemory
 
     /**
      * Account a bulk DMA transfer against the memory system without
-     * going through read()/write() (used by the DMA engines, whose
-     * payloads the simulator moves as shared buffers).
+     * the access checks (used by the DMA engines, whose payloads the
+     * simulator moves as shared buffers).
      */
     void
     account(Accessor by, std::uint64_t bytes)
@@ -110,16 +104,6 @@ class CabMemory
     std::uint64_t busErrors() const { return _busErrors.value(); }
 
   private:
-    /** Map an address range to backing storage, or nullptr. */
-    std::uint8_t *backing(std::uint32_t addr, std::uint32_t len);
-
-    // nectar-lint: copy-ok the CAB's memory arrays themselves;
-    // packets stay as PacketViews until DMA touches these
-    std::vector<std::uint8_t> prom;
-    // nectar-lint: copy-ok memory array backing store
-    std::vector<std::uint8_t> programRam;
-    // nectar-lint: copy-ok memory array backing store
-    std::vector<std::uint8_t> dataRam;
     MemoryProtection prot;
     sim::Counter byteCounts[4];
     sim::Counter _busErrors;

@@ -121,7 +121,7 @@ Communicator::sendTo(int dstRank, MsgKind kind, std::uint8_t param,
         makeCollectiveMessage(h, std::move(payload)));
 }
 
-sim::Task<McastOutcome>
+sim::Task<transport::Transport::MulticastResult>
 Communicator::mcastTo(const std::vector<int> &ranks, MsgKind kind,
                       std::uint8_t param, std::uint32_t opSeq,
                       std::uint16_t epoch, sim::PacketView payload)
@@ -131,8 +131,12 @@ Communicator::mcastTo(const std::vector<int> &ranks, MsgKind kind,
     for (int r : ranks)
         if (r != _rank)
             dsts.push_back(members[r].cab);
-    if (dsts.empty())
-        co_return McastOutcome{};
+    if (dsts.empty()) {
+        // A named local, not a temporary: see the GCC 12 aggregate
+        // pitfall in sim/coro.hh.
+        transport::Transport::MulticastResult none;
+        co_return none;
+    }
     WireHeader h;
     h.gid = gid;
     h.epoch = epoch;
@@ -140,13 +144,14 @@ Communicator::mcastTo(const std::vector<int> &ranks, MsgKind kind,
     h.opSeq = opSeq;
     h.kind = kind;
     h.param = param;
-    co_return co_await reliableMulticast(
-        *ctx.home().transport, std::move(dsts),
-        GroupDirectory::groupMailboxId(gid),
-        makeCollectiveMessage(h, std::move(payload)), cfg.path);
+    auto r = co_await ctx.home().transport->sendReliableMulticast(
+        std::move(dsts), GroupDirectory::groupMailboxId(gid),
+        makeCollectiveMessage(h, std::move(payload)),
+        cfg.path != McastPath::unicast);
+    co_return r;
 }
 
-sim::Task<McastOutcome>
+sim::Task<transport::Transport::MulticastResult>
 Communicator::mcastAll(MsgKind kind, std::uint8_t param,
                        std::uint32_t opSeq, std::uint16_t epoch,
                        sim::PacketView payload)
@@ -154,8 +159,9 @@ Communicator::mcastAll(MsgKind kind, std::uint8_t param,
     std::vector<int> all(size());
     for (int r = 0; r < size(); ++r)
         all[r] = r;
-    co_return co_await mcastTo(all, kind, param, opSeq, epoch,
-                               std::move(payload));
+    auto r = co_await mcastTo(all, kind, param, opSeq, epoch,
+                              std::move(payload));
+    co_return r;
 }
 
 sim::Task<std::optional<Communicator::Incoming>>

@@ -37,6 +37,7 @@
 #include "collectives/multicast.hh"
 #include "nectarine/nectarine.hh"
 #include "sim/coro.hh"
+#include "transport/transport.hh"
 
 namespace nectar::collective {
 
@@ -169,17 +170,15 @@ class Communicator
                            std::uint16_t epoch, sim::PacketView payload);
 
     /** Multicast one collective message to every rank but ours. */
-    sim::Task<McastOutcome> mcastAll(MsgKind kind, std::uint8_t param,
-                                     std::uint32_t opSeq,
-                                     std::uint16_t epoch,
-                                     sim::PacketView payload);
+    sim::Task<transport::Transport::MulticastResult>
+    mcastAll(MsgKind kind, std::uint8_t param, std::uint32_t opSeq,
+             std::uint16_t epoch, sim::PacketView payload);
 
     /** Multicast to an explicit rank set. */
-    sim::Task<McastOutcome> mcastTo(const std::vector<int> &ranks,
-                                    MsgKind kind, std::uint8_t param,
-                                    std::uint32_t opSeq,
-                                    std::uint16_t epoch,
-                                    sim::PacketView payload);
+    sim::Task<transport::Transport::MulticastResult>
+    mcastTo(const std::vector<int> &ranks, MsgKind kind,
+            std::uint8_t param, std::uint32_t opSeq, std::uint16_t epoch,
+            sim::PacketView payload);
 
     /**
      * Receive the collective message matching (kind, param, src,

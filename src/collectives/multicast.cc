@@ -2,18 +2,6 @@
 
 namespace nectar::collective {
 
-sim::Task<McastOutcome>
-reliableMulticast(transport::Transport &tp,
-                  std::vector<transport::CabAddress> dsts,
-                  std::uint16_t mailbox, sim::PacketView data,
-                  McastPath path)
-{
-    auto r = co_await tp.sendReliableMulticast(
-        std::move(dsts), mailbox, std::move(data),
-        path != McastPath::unicast);
-    co_return McastOutcome{r.ok, r.usedHardware, std::move(r.failed)};
-}
-
 namespace {
 
 void

@@ -17,11 +17,8 @@
 #include <cstdint>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "sim/buffer.hh"
-#include "sim/coro.hh"
-#include "transport/transport.hh"
 
 namespace nectar::collective {
 
@@ -30,24 +27,6 @@ enum class McastPath : std::uint8_t {
     automatic, ///< Hardware tree when routable; unicast fallback.
     unicast,   ///< Force per-member unicast fan-out (baseline).
 };
-
-/** Outcome of one reliable multicast. */
-struct McastOutcome
-{
-    bool ok = true;
-    bool usedHardware = false;
-    std::vector<transport::CabAddress> failed;
-};
-
-/**
- * Reliably multicast @p data from @p tp to @p dsts mailbox
- * @p mailbox under policy @p path.
- */
-sim::Task<McastOutcome>
-reliableMulticast(transport::Transport &tp,
-                  std::vector<transport::CabAddress> dsts,
-                  std::uint16_t mailbox, sim::PacketView data,
-                  McastPath path = McastPath::automatic);
 
 // ----- Collective message format ------------------------------------
 

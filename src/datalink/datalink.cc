@@ -232,6 +232,15 @@ Datalink::attemptSend(const topo::Route &route,
     co_return true;
 }
 
+bool
+Datalink::frameFits(const topo::Route &route, std::size_t payloadBytes,
+                    SwitchMode mode) const
+{
+    return mode != SwitchMode::packet ||
+           2 + payloadBytes + 3 * (route.size() + 1) <=
+               cfg.maxWirePacketBytes;
+}
+
 sim::Task<bool>
 Datalink::sendPacket(topo::Route route, phys::Payload payload,
                      SwitchMode mode)
@@ -240,18 +249,12 @@ Datalink::sendPacket(topo::Route route, phys::Payload payload,
                         name() + ": datalink off its board's cluster");
     if (route.empty())
         sim::panic(name() + ": empty route");
-    if (mode == SwitchMode::packet) {
-        // SOP + EOP + data + per-hop command + closeAll must fit the
-        // downstream input queues (Section 4.2.3).
-        std::uint32_t wire = 2 +
-            static_cast<std::uint32_t>(payload.size()) +
-            3 * (static_cast<std::uint32_t>(route.size()) + 1);
-        if (wire > cfg.maxWirePacketBytes) {
-            sim::fatal(name() + ": packet-switched frame of " +
-                       std::to_string(wire) +
-                       " bytes exceeds the HUB input queue; use "
-                       "circuit switching for large packets");
-        }
+    if (!frameFits(route, payload.size(), mode)) {
+        sim::fatal(name() + ": packet-switched frame of " +
+                   std::to_string(payload.size()) + " data bytes over " +
+                   std::to_string(route.size()) +
+                   " hops exceeds the HUB input queue; use circuit "
+                   "switching for large packets");
     }
 
     co_await txMutex.lock();

@@ -143,6 +143,16 @@ class Datalink : public sim::Component
     /** True when our HUB port can accept a new packet. */
     bool hubReady() const { return _hubReady; }
 
+    /**
+     * True when @p payloadBytes may travel along @p route in @p mode.
+     * Circuit switching streams data of any size; a packet-switched
+     * frame (SOP + EOP + data + one 3-byte command per hop + closeAll)
+     * must fit the downstream HUB input queues, maxWirePacketBytes
+     * (Section 4.2.3).
+     */
+    bool frameFits(const topo::Route &route, std::size_t payloadBytes,
+                   SwitchMode mode) const;
+
   private:
     /** One route-establishment + transmit attempt. */
     sim::Task<bool> attemptSend(const topo::Route &route,

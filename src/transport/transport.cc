@@ -166,9 +166,6 @@ Transport::rttSample(SenderFlow &flow, Tick sample)
     }
     auto rto = static_cast<Tick>(flow.srtt + 4.0 * flow.rttvar);
     flow.rto = std::clamp(rto, cfg.minRto, cfg.maxRto);
-    _stats.lastSrtt = flow.srtt;
-    _stats.lastRttvar = flow.rttvar;
-    _stats.lastRto = flow.rto;
 }
 
 void
@@ -307,20 +304,6 @@ Transport::sendReliable(CabAddress dst, std::uint16_t dstMailbox,
 // Reliable multicast (sender side).
 // --------------------------------------------------------------------
 
-bool
-Transport::frameFits(const topo::Route &route,
-                     const sim::PacketView &packet) const
-{
-    if (cfg.mode != datalink::SwitchMode::packet)
-        return true; // circuit switching streams; no frame limit
-    // Mirror the datalink's packet-mode frame check: SOP + EOP +
-    // data + per-hop command + closeAll must fit the input queues.
-    std::uint32_t wire = 2 +
-        static_cast<std::uint32_t>(packet.size()) +
-        3 * (static_cast<std::uint32_t>(route.size()) + 1);
-    return wire <= dl.config().maxWirePacketBytes;
-}
-
 sim::Task<void>
 Transport::transmitMulticastPacket(
     const std::vector<CabAddress> &dsts, sim::PacketView packet,
@@ -335,7 +318,7 @@ Transport::transmitMulticastPacket(
 
     if (allowHardware && dsts.size() > 1) {
         const topo::Route &tree = directory.multicastRoute(self, dsts);
-        if (!tree.empty() && frameFits(tree, packet)) {
+        if (!tree.empty() && dl.frameFits(tree, packet.size(), cfg.mode)) {
             // One transmission covers every member: the HUB crossbar
             // fans the bytes out along the tree (Section 4.2.2).
             _stats.packetsSent.add();

@@ -130,9 +130,6 @@ struct TransportStats
                                       ///< gave up on.
     sim::Histogram recoveryNs; ///< First-timeout-to-recovery times
                                ///< of stalled flows (ticks).
-    double lastSrtt = 0;          ///< Most recent flow SRTT (ticks).
-    double lastRttvar = 0;        ///< Most recent flow RTTVAR (ticks).
-    Tick lastRto = 0;             ///< Most recent computed RTO.
 };
 
 /**
@@ -357,11 +354,6 @@ class Transport : public sim::Component
     transmitMulticastPacket(const std::vector<CabAddress> &dsts,
                             sim::PacketView packet, bool allowHardware,
                             bool &usedHardware);
-
-    /** True when @p route + @p packet fit the switching discipline's
-     *  wire-frame limit (packet mode only constrains it). */
-    bool frameFits(const topo::Route &route,
-                   const sim::PacketView &packet) const;
 
     /** Park until any of @p flows makes progress (ack, failure). */
     sim::Task<void> multicastWait(

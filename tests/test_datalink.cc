@@ -140,6 +140,17 @@ TEST_F(DatalinkTest, PacketModeRejectsOversizedFrame)
                 phys::makePayload(iotaBytes(2000)), SwitchMode::packet,
                 sent),
         sim::PanicError);
+
+    // The rule's edge, which the transport's multicast spill-over
+    // shares: SOP + EOP + data + one 3-byte command per hop + closeAll
+    // exactly fills the HUB input queue.  Circuit mode has no limit.
+    const auto &dl = *sys->site(0).datalink;
+    const auto route = routeBetween(0, 1);
+    const std::size_t full =
+        dl.config().maxWirePacketBytes - 2 - 3 * (route.size() + 1);
+    EXPECT_TRUE(dl.frameFits(route, full, SwitchMode::packet));
+    EXPECT_FALSE(dl.frameFits(route, full + 1, SwitchMode::packet));
+    EXPECT_TRUE(dl.frameFits(route, full + 1, SwitchMode::circuit));
 }
 
 TEST_F(DatalinkTest, MultiHubMeshDelivery)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <numeric>
 
 #include "nectarine/ipsc.hh"
@@ -129,6 +131,28 @@ TEST_F(NectarineTest, BuffersAllocateAndReleaseCabMemory)
         EXPECT_EQ(kernel.allocator().bytesInUse(), before + 4096);
     }
     EXPECT_EQ(kernel.allocator().bytesInUse(), before);
+}
+
+// A site's host memory is its components' bookkeeping, not a copy of
+// the CAB's 1.6 MiB of on-board memory: payloads travel as shared
+// PacketViews, so nothing stores the board's bytes.  Measured the way
+// perfbench's nectarine.rss_mb_per_site is: the glibc heap in use
+// (arena plus mmapped blocks) around the build, per site.
+TEST_F(NectarineTest, SiteHeapFootprintStaysSmall)
+{
+#if defined(__SANITIZE_ADDRESS__)
+    GTEST_SKIP() << "ASan replaces malloc; mallinfo2 sees none of it";
+#else
+    auto heapInUse = [] {
+        struct mallinfo2 mi = mallinfo2();
+        return mi.uordblks + mi.hblkhd;
+    };
+    constexpr int sites = 8;
+    const std::size_t before = heapInUse();
+    sys = NectarSystem::singleHub(eq, sites);
+    const std::size_t perSite = (heapInUse() - before) / sites;
+    EXPECT_LT(perSite, 256u * 1024u);
+#endif
 }
 
 TEST_F(NectarineTest, SendBufferTransfersContents)
