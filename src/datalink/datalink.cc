@@ -1,7 +1,6 @@
 #include "datalink.hh"
 
 #include "sim/logging.hh"
-#include "sim/owner.hh"
 
 namespace nectar::datalink {
 
@@ -245,8 +244,6 @@ sim::Task<bool>
 Datalink::sendPacket(topo::Route route, phys::Payload payload,
                      SwitchMode mode)
 {
-    SIM_OWNER_INVARIANT(*this, _kernel.board(),
-                        name() + ": datalink off its board's cluster");
     if (route.empty())
         sim::panic(name() + ": empty route");
     if (!frameFits(route, payload.size(), mode)) {

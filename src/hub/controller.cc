@@ -5,7 +5,6 @@
 #include "hub/commands.hh"
 #include "hub/hub.hh"
 #include "sim/logging.hh"
-#include "sim/owner.hh"
 
 namespace nectar::hub {
 
@@ -20,8 +19,6 @@ CentralController::CentralController(Hub &hub, Tick cycle)
 void
 CentralController::submit(const phys::CommandWord &cmd, PortId arrival)
 {
-    SIM_OWNER_INVARIANT(*this, hub,
-                        name() + ": controller off its hub's cluster");
     q.push_back(Pending{cmd, arrival, 0, 0});
     if (!running) {
         running = true;

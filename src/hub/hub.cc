@@ -42,15 +42,6 @@ Hub::port(PortId i) const
     return *ports[i];
 }
 
-void
-Hub::setOwnerCluster(sim::ClusterId c)
-{
-    sim::Component::setOwnerCluster(c);
-    ctrl.setOwnerCluster(c);
-    for (auto &p : ports)
-        p->setOwnerCluster(c);
-}
-
 std::uint8_t
 Hub::errorCount() const
 {

@@ -140,9 +140,6 @@ class Hub : public sim::Component
     HubStats &stats() { return _stats; }
     const HubStats &stats() const { return _stats; }
 
-    /** Tag the HUB and the ports/controller it owns (sim/owner.hh). */
-    void setOwnerCluster(sim::ClusterId c) override;
-
     /** Saturating 8-bit error count reported by svQueryErrors. */
     std::uint8_t errorCount() const;
 

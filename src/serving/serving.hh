@@ -170,7 +170,7 @@ class ServingWorkload
     /**
      * One client host: its RNG stream, bounded flow table, and its
      * share of every aggregate.  All measurement state is per host so
-     * a host's coroutines touch only their own cluster's slice;
+     * a host's coroutines touch only their own host's slice;
      * report()/latency() merge the hosts after the run.
      */
     struct HostState

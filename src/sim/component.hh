@@ -13,17 +13,6 @@
 namespace nectar::sim {
 
 /**
- * Partition owner tag: the cluster (a HUB plus its CABs, per
- * the partition map emitted by nectar-lint --graph-out) a component
- * belongs to.  unownedCluster means "not tagged": shared
- * infrastructure like fiber links, or a system assembled without
- * cluster tagging.  See sim/owner.hh for the checked-build
- * assertions that consume the tag.
- */
-using ClusterId = int;
-inline constexpr ClusterId unownedCluster = -1;
-
-/**
  * A named participant in the simulation.
  *
  * Components hold a reference to the (single) event queue and provide
@@ -56,15 +45,6 @@ class Component
     /** Current simulated time. */
     Tick now() const { return _eventq.now(); }
 
-    /** Owning partition cluster, or unownedCluster. */
-    ClusterId ownerCluster() const { return _owner; }
-
-    /**
-     * Tag this component (and, in overrides, the sub-components it
-     * owns) as belonging to cluster @p c.
-     */
-    virtual void setOwnerCluster(ClusterId c) { _owner = c; }
-
   protected:
     /** Schedule a member callback @p delay ticks from now. */
     EventId
@@ -77,7 +57,6 @@ class Component
   private:
     EventQueue &_eventq;
     std::string _name;
-    ClusterId _owner = unownedCluster;
 };
 
 } // namespace nectar::sim

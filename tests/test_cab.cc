@@ -322,6 +322,22 @@ TEST_F(CabDatapath, DmaSendSerializesAtFiberRate)
     EXPECT_EQ(board.memory().bytesBy(Accessor::fiberOutDma), 1000u);
 }
 
+TEST_F(CabDatapath, DownTxFiberStaysDownAndCarriesNothing)
+{
+    // Sending on a dark fiber must neither revive it nor leak an
+    // item: link state belongs to the fault plan, not to the board.
+    toPeer.setLinkUp(false);
+    board.sendControl(WireItem::command(0x02, 0, 1));
+    auto payload = phys::makePayload(std::vector<std::uint8_t>(64, 1));
+    bool done = false;
+    board.dmaSend(board.framePacket(payload), [&] { done = true; });
+    eq.run();
+    EXPECT_TRUE(done);
+    EXPECT_FALSE(toPeer.linkUp());
+    EXPECT_TRUE(peer.received.empty());
+    EXPECT_EQ(toPeer.itemsDroppedDown(), 4u);
+}
+
 TEST_F(CabDatapath, CorruptedChunkFlagsPacket)
 {
     bool corrupted = false;

@@ -2,15 +2,17 @@
  * @file
  * Tests for the nectar-lint static-analysis pass.
  *
- * Two layers: the corpus tests lint the one-rule-per-file fixtures in
- * tests/lint_corpus/ and assert the exact (rule, line) findings — if
- * any of D1–D8 or A1 stops firing, the corresponding test fails.  The
- * inline tests feed lintSource() small snippets to pin down the edge
- * cases (literals in comments/strings, annotation coverage, the
- * packet-path filter).
+ * Three layers: the corpus tests lint the one-rule-per-file fixtures
+ * in tests/lint_corpus/ and assert the exact (rule, line) findings —
+ * if any of D1–D8 or A1 stops firing, the corresponding test fails.
+ * The inline tests feed lintSource() small snippets to pin down the
+ * edge cases (literals in comments/strings, annotation coverage, the
+ * packet-path filter).  The real-tree tests run every rule over src/
+ * and require it clean.
  */
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -26,6 +28,7 @@ using nectar::lint::Finding;
 using nectar::lint::lintFile;
 using nectar::lint::lintSource;
 using nectar::lint::Options;
+namespace fs = std::filesystem;
 
 namespace {
 
@@ -421,13 +424,73 @@ TEST(LintGraph, MediatedAllowlistIsConfigurable)
     EXPECT_TRUE(g2.findings.empty());
 }
 
-TEST(LintGraph, JsonIsDeterministic)
+// --------------------------------------------------------------------
+// The access-graph pass over the real tree.  The shape test guards
+// against a parser regression that indexes nothing and so passes the
+// findings test vacuously.
+// --------------------------------------------------------------------
+
+namespace {
+
+std::vector<nectar::lint::SourceFile>
+readTree()
 {
-    auto g1 = analyzeGraphCorpus();
-    auto g2 = analyzeGraphCorpus();
-    nectar::lint::GraphOptions opts;
-    EXPECT_EQ(nectar::lint::graphJson(g1, opts),
-              nectar::lint::graphJson(g2, opts));
-    EXPECT_NE(nectar::lint::graphJson(g1, opts).find("\"edges\""),
-              std::string::npos);
+    std::vector<nectar::lint::SourceFile> files;
+    for (const auto &e :
+         fs::recursive_directory_iterator(NECTAR_SRC_DIR)) {
+        if (!e.is_regular_file())
+            continue;
+        std::string ext = e.path().extension().string();
+        if (ext != ".cc" && ext != ".hh")
+            continue;
+        std::ifstream in(e.path(), std::ios::binary);
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        files.push_back({e.path().string(), ss.str()});
+    }
+    EXPECT_GT(files.size(), 50u);
+    return files;
+}
+
+} // namespace
+
+TEST(LintGraph, RealTreeHasNoUnannotatedGraphFindings)
+{
+    auto g = nectar::lint::analyzeGraph(readTree());
+    for (const auto &f : g.findings)
+        ADD_FAILURE() << f.file << ":" << f.line << " [" << f.rule
+                      << "] " << f.message;
+    // The per-file rules (including D7 global state) must be clean
+    // too: nothing under src/ may escape the component graph.
+    for (const auto &src : readTree())
+        for (const auto &f :
+             nectar::lint::lintSource(src.path, src.text))
+            ADD_FAILURE() << f.file << ":" << f.line << " ["
+                          << f.rule << "] " << f.message;
+}
+
+TEST(LintGraph, RealTreeGraphShapeIsSane)
+{
+    auto g = nectar::lint::analyzeGraph(readTree());
+    // The Component closure covers the core of the simulator.
+    for (const char *c : {"Cab", "Kernel", "Datalink", "Transport",
+                          "Hub", "IoPort", "FiberLink", "FiberSink"})
+        EXPECT_EQ(g.components.count(c), 1u) << c;
+    EXPECT_TRUE(g.components.at("FiberSink").interface);
+    EXPECT_EQ(g.components.at("Hub").role, "hub");
+    EXPECT_EQ(g.components.at("FiberLink").role, "wire");
+    EXPECT_EQ(g.components.at("Transport").role, "site");
+
+    // Every edge is classified, and every wire-crossing mutation is
+    // mediated: the fiber is the only interface between layers.
+    ASSERT_GT(g.edges.size(), 50u);
+    for (const auto &e : g.edges) {
+        EXPECT_NE(e.kind, "direct-mutation")
+            << e.from << " -> " << e.to << "::" << e.member << " at "
+            << e.file << ":" << e.line;
+        if (e.mutation && g.components.at(e.to).role == "wire") {
+            EXPECT_EQ(e.kind, "mediated")
+                << e.from << " -> " << e.to << "::" << e.member;
+        }
+    }
 }

@@ -13,7 +13,6 @@
 
 #include "nectarine/ipsc.hh"
 #include "nectarine/nectarine.hh"
-#include "sim/owner.hh"
 
 using namespace nectar;
 using namespace nectar::nectarine;
@@ -241,47 +240,4 @@ TEST_F(NectarineTest, IpscTypedReceiveOutOfOrder)
     });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{60, 50}));
-}
-
-// ----- Owner-cluster tagging (sim/owner.hh) -------------------------
-
-TEST_F(NectarineTest, BuildersTagEveryComponentWithItsHubCluster)
-{
-    auto mesh = NectarSystem::mesh2D(eq, 2, 2, /*cabsPerHub=*/2);
-    for (int h = 0; h < mesh->topo().numHubs(); ++h) {
-        hub::Hub &hub = mesh->topo().hubAt(h);
-        EXPECT_EQ(hub.ownerCluster(), h);
-        EXPECT_EQ(hub.controller().ownerCluster(), h);
-        for (int p = 0; p < hub.numPorts(); ++p)
-            EXPECT_EQ(hub.port(p).ownerCluster(), h);
-    }
-    for (std::size_t i = 0; i < mesh->siteCount(); ++i) {
-        CabSite &s = mesh->site(i);
-        EXPECT_EQ(s.board->ownerCluster(), s.at.hubIndex);
-        EXPECT_EQ(s.kernel->ownerCluster(), s.at.hubIndex);
-        EXPECT_EQ(s.datalink->ownerCluster(), s.at.hubIndex);
-        EXPECT_EQ(s.transport->ownerCluster(), s.at.hubIndex);
-        // The board's owned hardware joins its cluster too.
-        EXPECT_EQ(s.board->cpu().ownerCluster(), s.at.hubIndex);
-        EXPECT_EQ(s.board->timers().ownerCluster(), s.at.hubIndex);
-    }
-}
-
-TEST_F(NectarineTest, UntaggedComponentsPassOwnerChecks)
-{
-    auto mesh = NectarSystem::mesh2D(eq, 1, 2, /*cabsPerHub=*/1);
-    cab::Cab &a = *mesh->site(0).board;
-    cab::Cab &b = *mesh->site(1).board;
-    ASSERT_NE(a.ownerCluster(), b.ownerCluster());
-    EXPECT_FALSE(sim::sameOwnerCluster(a, b));
-    EXPECT_TRUE(sim::sameOwnerCluster(a, a));
-    // Fiber links are deliberately unowned: they are the sanctioned
-    // crossings, so they co-locate with everything.
-    ASSERT_NE(a.txLink(), nullptr);
-    EXPECT_EQ(a.txLink()->ownerCluster(), sim::unownedCluster);
-    EXPECT_TRUE(sim::sameOwnerCluster(*a.txLink(), b));
-    // Components built outside a system stay unowned and unchecked.
-    cab::Cab lone(eq, "lone");
-    EXPECT_EQ(lone.ownerCluster(), sim::unownedCluster);
-    EXPECT_TRUE(sim::sameOwnerCluster(lone, a));
 }

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <functional>
 #include <regex>
+#include <set>
 #include <sstream>
 
 #include "source.hh"
@@ -1173,41 +1174,6 @@ scanBody(const Index &ix, const GraphOptions &opts, const Body &body,
     }
 }
 
-// ====================================================================
-// JSON serialization.
-// ====================================================================
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default: out.push_back(c);
-        }
-    }
-    return out;
-}
-
-void
-writeEdge(std::ostringstream &os, const AccessEdge &e,
-          const char *indent)
-{
-    os << indent << "{\"from\": \"" << e.from << "\", \"to\": \""
-       << e.to << "\", \"kind\": \"" << e.kind
-       << "\", \"mutation\": " << (e.mutation ? "true" : "false")
-       << ", \"annotated\": " << (e.annotated ? "true" : "false")
-       << ", \"via\": \"" << jsonEscape(e.via)
-       << "\", \"member\": \"" << jsonEscape(e.member)
-       << "\", \"file\": \"" << jsonEscape(e.file)
-       << "\", \"line\": " << e.line << "}";
-}
-
 } // namespace
 
 // ====================================================================
@@ -1277,98 +1243,6 @@ analyzeGraph(const std::vector<SourceFile> &files,
         if (ci.component || ci.interface)
             out.components.emplace(name, ci);
     return out;
-}
-
-std::string
-graphJson(const GraphResult &g, const GraphOptions &opts,
-          const TopoSummary *topo)
-{
-    std::ostringstream os;
-    os << "{\n  \"version\": 1,\n  \"components\": [\n";
-    bool first = true;
-    for (const auto &[name, ci] : g.components) {
-        if (!first)
-            os << ",\n";
-        first = false;
-        os << "    {\"name\": \"" << name << "\", \"qualified\": \""
-           << jsonEscape(ci.qualified) << "\", \"role\": \""
-           << ci.role << "\", \"interface\": "
-           << (ci.interface ? "true" : "false") << ", \"file\": \""
-           << jsonEscape(ci.file) << "\", \"line\": " << ci.line
-           << ", \"bases\": [";
-        for (std::size_t i = 0; i < ci.bases.size(); ++i)
-            os << (i ? ", " : "") << '"' << ci.bases[i] << '"';
-        os << "], \"mutatingPublicMethods\": [";
-        std::set<std::string> muts;
-        for (const auto &m : ci.methods)
-            if (m.isPublic && !m.isConst)
-                muts.insert(m.name);
-        bool f2 = true;
-        for (const auto &m : muts) {
-            os << (f2 ? "" : ", ") << '"' << m << '"';
-            f2 = false;
-        }
-        os << "]}";
-    }
-    os << "\n  ],\n  \"edges\": [\n";
-    first = true;
-    for (const auto &e : g.edges) {
-        if (!first)
-            os << ",\n";
-        first = false;
-        writeEdge(os, e, "    ");
-    }
-    std::size_t direct = 0, foreign = 0, mut = 0;
-    for (const auto &e : g.edges) {
-        if (e.mutation)
-            ++mut;
-        if (e.kind == "direct-mutation")
-            ++direct;
-        if (e.kind == "foreign-ref" && !e.annotated)
-            ++foreign;
-    }
-    os << "\n  ],\n  \"summary\": {\"components\": "
-       << g.components.size() << ", \"edges\": " << g.edges.size()
-       << ", \"mutationEdges\": " << mut
-       << ", \"directMutationEdges\": " << direct
-       << ", \"foreignRefEdges\": " << foreign << "}";
-
-    if (topo) {
-        os << ",\n  \"topology\": {\n    \"name\": \""
-           << jsonEscape(topo->name) << "\",\n    \"clusters\": [\n";
-        for (std::size_t h = 0; h < topo->hubs.size(); ++h) {
-            if (h)
-                os << ",\n";
-            os << "      {\"id\": " << h << ", \"hub\": \""
-               << jsonEscape(topo->hubs[h]) << "\", \"cabs\": [";
-            bool f3 = true;
-            for (const auto &[cab, hub] : topo->cabs)
-                if (hub == static_cast<int>(h)) {
-                    os << (f3 ? "" : ", ") << '"' << jsonEscape(cab)
-                       << '"';
-                    f3 = false;
-                }
-            os << "]}";
-        }
-        os << "\n    ],\n    \"trunks\": [";
-        for (std::size_t t = 0; t < topo->trunks.size(); ++t)
-            os << (t ? ", " : "") << "[" << topo->trunks[t].first
-               << ", " << topo->trunks[t].second << "]";
-        os << "],\n    \"crossClusterDirectEdges\": [";
-        first = true;
-        for (const auto &e : g.edges)
-            if (e.kind == "direct-mutation") {
-                os << (first ? "\n" : ",\n");
-                first = false;
-                writeEdge(os, e, "      ");
-            }
-        if (!first)
-            os << "\n    ";
-        os << "]\n  }";
-    }
-    (void)opts;
-    os << "\n}\n";
-    return os.str();
 }
 
 } // namespace nectar::lint

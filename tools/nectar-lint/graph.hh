@@ -1,23 +1,21 @@
 /**
  * @file
- * The component access-graph pass: whole-tree partition-safety
- * analysis.
+ * The component access-graph pass: whole-tree layer rules.
  *
- * The design contract is that the component graph splits into
- * HUB/CAB-cluster partitions whose only interface is the trunk
- * fibers: no component mutates another partition's state through a
- * direct synchronous call that bypasses the event queue.  This pass
- * makes the property mechanical:
+ * The HUB and a CAB site meet only at the fiber (a HUB port's input
+ * and output links): no component mutates another layer's state
+ * through a direct synchronous call that bypasses the event queue.
+ * This pass makes the property mechanical:
  *
  *  - Pass 1 indexes every class in the tree (fields, methods,
  *    accessors, inheritance) and computes the sim::Component closure;
- *    each component is assigned a co-location role from the layer its
+ *    each component is assigned a layer role from the directory its
  *    file lives in (site = cab/cabos/datalink/transport/node/inet/
- *    baseline/nectarine, hub = hub, wire = phys, engine = sim).  A
- *    partition is a HUB plus its CABs, so components sharing a
- *    role are co-located by construction (a CAB's datalink never
- *    touches another CAB's board), while cross-role edges are exactly
- *    the ones that may cross a partition boundary.
+ *    baseline/nectarine, hub = hub, wire = phys, engine = sim).
+ *    Components sharing a role are co-located by construction, while
+ *    cross-role edges are exactly the ones that cross a layer
+ *    boundary.  The rules therefore do not see a same-layer,
+ *    cross-instance call such as one Hub reaching into another.
  *
  *  - Pass 2 scans every member-function body (inline and out-of-line)
  *    of a component class, resolves receiver chains like
@@ -26,15 +24,14 @@
  *    edge:
  *
  *      owned            target is inside the source's ownership
- *                       aggregate (value / unique_ptr fields), so it
- *                       can never be split across partitions;
+ *                       aggregate (value / unique_ptr fields);
  *      mediated         the call lands on a sanctioned mediated
  *                       surface (FiberLink::send/sendStolen,
  *                       FiberSink::fiberDeliver — the wire
  *                       chokepoints that already serialize through
  *                       the event queue), or carries a `mediated-ok`
  *                       annotation;
- *      co-located       same role, hence same partition;
+ *      co-located       same role, hence same layer;
  *      read             const access: no state crosses;
  *      direct-mutation  none of the above — rule D6;
  *      foreign-ref      a pointer/reference to another component's
@@ -50,19 +47,14 @@
  *        `tx = &link` is the datalink of the graph itself and passes)
  *        (annotation tag: foreign-ref-ok).
  *
- * graphJson() serializes the result deterministically (sorted maps,
- * no pointers or timestamps) as partition_map.json, the published
- * statement of the partition contract.  With a
- * TopoSummary attached, the JSON additionally lists the runtime
- * clusters (each HUB plus its CABs) and the cross-cluster
- * direct-mutation edges — the list the `ctest -L analysis` gate
- * asserts is empty.
+ * nectar-lint runs the pass over every collected file under a src/
+ * directory, so `ctest -L analysis` gates on D6/D8 with the per-file
+ * rules.
  */
 
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -171,30 +163,5 @@ struct GraphResult
 /** Run both passes over @p files (typically everything under src/). */
 GraphResult analyzeGraph(const std::vector<SourceFile> &files,
                          const GraphOptions &opts = {});
-
-/**
- * Loaded-topology summary for the partition map, kept free of topo
- * types so nectar_lint_core stays standalone; the CLI converts a
- * topo::TopologyDescription into one.
- */
-struct TopoSummary
-{
-    std::string name;
-    std::vector<std::string> hubs;
-    /** (cab name, owning hub index). */
-    std::vector<std::pair<std::string, int>> cabs;
-    /** (hub a, hub b) trunk endpoints. */
-    std::vector<std::pair<int, int>> trunks;
-};
-
-/**
- * Serialize @p g as partition_map.json: byte-deterministic for a
- * given input set (sorted keys, no pointers, no timestamps).  With
- * @p topo, adds the runtime clusters (one per HUB) and the
- * cross-cluster direct-mutation edge list the analysis gate asserts
- * is empty.
- */
-std::string graphJson(const GraphResult &g, const GraphOptions &opts,
-                      const TopoSummary *topo = nullptr);
 
 } // namespace nectar::lint

@@ -330,11 +330,11 @@ scanScheduleSites(const Prepared &p, const std::string &file,
 // --------------------------------------------------------------------
 // D7 — mutable global / static state.
 //
-// A variable that outlives every component instance is invisible to
-// any partitioning of the component graph: two thread partitions
-// would share it without either one owning it.  The scanner tracks
-// brace scopes lexically (namespace, class, function/block,
-// initializer) and flags mutable variables introduced by `static`,
+// A variable that outlives every component instance outlives the run
+// too: the next run in the same process inherits it, so its result
+// depends on what ran before it and not only on its seed.  The
+// scanner tracks brace scopes lexically (namespace, class,
+// function/block, initializer) and flags mutable variables introduced by `static`,
 // namespace-scope `inline`, or `extern` without a const qualifier.
 // const/constexpr state and thread_local variables pass: the former
 // cannot be written, the latter is per-thread by definition.
@@ -491,8 +491,8 @@ scanGlobalState(const Prepared &p, const std::string &file,
         out.push_back(
             {"D7", file, lineOf(code, pos),
              std::string("mutable ") + where +
-                 " state: invisible to any component partitioning, "
-                 "so thread partitions would share it unsynchronized; "
+                 " state: no component owns it, so it carries over "
+                 "between runs in one process; "
                  "make it const/thread_local, move it into a "
                  "component, or annotate "
                  "'nectar-lint: global-ok <why>'"});

@@ -26,11 +26,12 @@
  *        sim::ticks constants (e.g. 5 * ticks::us) so units are
  *        explicit.
  *  - D7  no mutable global/namespace-scope static state in
- *        simulation code: state that no component owns is invisible
- *        to any partitioning of the component graph, so per-thread
- *        cluster partitions would share it unsynchronized.
+ *        simulation code: state that no component owns outlives a
+ *        run, so the next run in the same process (a fuzz campaign,
+ *        a sweep, a future --jobs pool) starts from what the last
+ *        one left and stops being a function of its seed.
  *
- * Two further rules, D6 (direct cross-component state mutation off
+ * Two further layer rules, D6 (direct cross-layer state mutation off
  * the mediated-call allowlist) and D8 (foreign references to another
  * component's internals stored in fields), ride on the whole-tree
  * component access graph; see graph.hh.

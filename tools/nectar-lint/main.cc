@@ -10,12 +10,9 @@
  * linted, corpus or not — that is how the corpus tests drive the
  * binary.
  *
- * With --graph-out, the whole-tree component access-graph pass
- * (graph.hh) also runs over every collected file under a src/
- * directory, emits D6/D8 findings, and writes partition_map.json;
- * --topo <file.topo> attaches the runtime clusters (one per HUB) and
- * the cross-cluster direct-mutation edge list the analysis gate
- * asserts is empty.
+ * When any collected file lies under a src/ directory, the
+ * whole-tree component access-graph pass (graph.hh) also runs over
+ * those files and reports its D6/D8 layer findings with the rest.
  *
  * Exit status: 0 clean, 1 findings, 2 usage or I/O error.
  */
@@ -24,13 +21,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "graph.hh"
 #include "lint.hh"
-#include "topo/topofile.hh"
 
 namespace fs = std::filesystem;
 using nectar::lint::Finding;
@@ -78,37 +75,13 @@ usage()
 {
     std::cerr
         << "usage: nectar-lint [--packet-path <substr>]... "
-           "[--explain]\n"
-           "                   [--graph-out <json>] [--topo <file>] "
-           "<file-or-dir>...\n"
+           "[--explain] <file-or-dir>...\n"
            "Checks nectar-sim determinism and ownership rules "
            "D1-D8; see DESIGN.md.\n"
-           "--graph-out runs the component access-graph pass "
-           "(D6/D8) over the\n"
-           "collected src/ files and writes the partition map; "
-           "--topo attaches the\n"
-           "runtime HUB clusters from a .topo fabric file.\n";
+           "Files under a src/ directory also go through the "
+           "component access-graph\n"
+           "pass (layer rules D6/D8).\n";
     return 2;
-}
-
-/** Convert a loaded fabric into the graph pass's summary form. */
-nectar::lint::TopoSummary
-summarize(const nectar::topo::TopologyDescription &d)
-{
-    nectar::lint::TopoSummary s;
-    s.name = d.name;
-    for (int h = 0; h < d.numHubs(); ++h)
-        s.hubs.push_back(d.hubNameAt(h));
-    int n = 0;
-    for (const auto &c : d.cabs) {
-        std::string name =
-            c.name.empty() ? "cab" + std::to_string(n) : c.name;
-        ++n;
-        s.cabs.emplace_back(name, c.hub);
-    }
-    for (const auto &t : d.trunks)
-        s.trunks.emplace_back(t.a, t.b);
-    return s;
 }
 
 } // namespace
@@ -119,7 +92,6 @@ main(int argc, char **argv)
     Options opts;
     std::vector<std::string> files;
     bool explain = false;
-    std::string graphOut, topoPath;
 
     std::vector<std::string> args(argv + 1, argv + argc);
     for (std::size_t i = 0; i < args.size(); ++i) {
@@ -128,14 +100,6 @@ main(int argc, char **argv)
             if (i + 1 >= args.size())
                 return usage();
             opts.packetPathDirs.push_back(args[++i]);
-        } else if (a == "--graph-out") {
-            if (i + 1 >= args.size())
-                return usage();
-            graphOut = args[++i];
-        } else if (a == "--topo") {
-            if (i + 1 >= args.size())
-                return usage();
-            topoPath = args[++i];
         } else if (a == "--explain") {
             explain = true;
         } else if (a == "--help" || a == "-h") {
@@ -164,7 +128,14 @@ main(int argc, char **argv)
         return usage();
 
     std::sort(files.begin(), files.end());
-    std::size_t nFindings = 0, nFilesWithFindings = 0;
+    std::size_t nFindings = 0;
+    std::set<std::string> filesWithFindings;
+    auto report = [&](const Finding &fd) {
+        ++nFindings;
+        filesWithFindings.insert(fd.file);
+        std::cout << fd.file << ":" << fd.line << ": [" << fd.rule
+                  << "] " << fd.message << "\n";
+    };
     for (const auto &f : files) {
         std::vector<Finding> findings;
         try {
@@ -173,59 +144,27 @@ main(int argc, char **argv)
             std::cerr << e.what() << "\n";
             return 2;
         }
-        if (!findings.empty())
-            ++nFilesWithFindings;
-        for (const auto &fd : findings) {
-            ++nFindings;
-            std::cout << fd.file << ":" << fd.line << ": ["
-                      << fd.rule << "] " << fd.message << "\n";
-        }
+        for (const auto &fd : findings)
+            report(fd);
     }
 
-    if (!graphOut.empty()) {
-        std::vector<nectar::lint::SourceFile> srcs;
-        for (const auto &f : files) {
-            if (f.find("src/") == std::string::npos)
-                continue;
-            std::ifstream in(f, std::ios::binary);
-            if (!in) {
-                std::cerr << "nectar-lint: cannot read " << f
-                          << "\n";
-                return 2;
-            }
-            std::ostringstream ss;
-            ss << in.rdbuf();
-            srcs.push_back({f, ss.str()});
-        }
-        nectar::lint::GraphOptions gopts;
-        nectar::lint::GraphResult g =
-            nectar::lint::analyzeGraph(srcs, gopts);
-        for (const auto &fd : g.findings) {
-            ++nFindings;
-            std::cout << fd.file << ":" << fd.line << ": ["
-                      << fd.rule << "] " << fd.message << "\n";
-        }
-
-        nectar::lint::TopoSummary topo;
-        bool haveTopo = false;
-        if (!topoPath.empty()) {
-            try {
-                topo = summarize(
-                    nectar::topo::loadTopologyFile(topoPath));
-                haveTopo = true;
-            } catch (const std::exception &e) {
-                std::cerr << e.what() << "\n";
-                return 2;
-            }
-        }
-        std::ofstream out(graphOut, std::ios::binary);
-        if (!out) {
-            std::cerr << "nectar-lint: cannot write " << graphOut
-                      << "\n";
+    std::vector<nectar::lint::SourceFile> srcs;
+    for (const auto &f : files) {
+        if (f.find("src/") == std::string::npos)
+            continue;
+        std::ifstream in(f, std::ios::binary);
+        if (!in) {
+            std::cerr << "nectar-lint: cannot read " << f << "\n";
             return 2;
         }
-        out << nectar::lint::graphJson(
-            g, gopts, haveTopo ? &topo : nullptr);
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        srcs.push_back({f, ss.str()});
+    }
+    if (!srcs.empty()) {
+        nectar::lint::GraphResult g = nectar::lint::analyzeGraph(srcs);
+        for (const auto &fd : g.findings)
+            report(fd);
         std::size_t direct = 0;
         for (const auto &e : g.edges)
             if (e.kind == "direct-mutation")
@@ -233,12 +172,11 @@ main(int argc, char **argv)
         std::cout << "nectar-lint: graph: " << g.components.size()
                   << " component(s), " << g.edges.size()
                   << " edge(s), " << direct
-                  << " direct cross-partition mutation(s) -> "
-                  << graphOut << "\n";
+                  << " direct cross-layer mutation(s)\n";
     }
 
     std::cout << "nectar-lint: " << nFindings << " finding(s) in "
-              << nFilesWithFindings << " of " << files.size()
+              << filesWithFindings.size() << " of " << files.size()
               << " file(s)\n";
     return nFindings == 0 ? 0 : 1;
 }
